@@ -256,6 +256,40 @@ void BM_AsyncEngineDelivery(benchmark::State& state) {
 }
 BENCHMARK(BM_AsyncEngineDelivery);
 
+/// The async engine's event core alone, in the classic "hold" model: the
+/// heap starts with range(0) events — half in-flight messages due within
+/// one time unit, half retransmit timers 2.5 units out, the mix of a lossy
+/// ARQ run — and every iteration pops the earliest event and pushes its
+/// successor of the same kind, so the queue size stays fixed. One
+/// iteration is one pop plus one push.
+void BM_EventQueueHeapHold(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue queue(sim::EventQueue::Mode::kHeap);
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  sim::Envelope env;
+  env.msg = bench_ping();
+  std::uint64_t token = 0;
+  for (std::size_t i = 0; i < size; ++i) {
+    if (i % 2 == 0) {
+      queue.push_message(rng.uniform_positive(), 0, env);
+    } else {
+      queue.push_timer(2.5 + rng.uniform_positive(), 0,
+                       sim::kRecoveryTimerNode, ++token);
+    }
+  }
+  for (auto _ : state) {
+    const sim::EventQueue::Event ev = queue.pop();
+    if (ev.is_timer) {
+      queue.push_timer(ev.at + 2.5, 0, sim::kRecoveryTimerNode, ++token);
+    } else {
+      queue.push_message(ev.at + rng.uniform_positive(), 0, ev.env);
+    }
+    benchmark::DoNotOptimize(ev.seq);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHeapHold)->Arg(1 << 10)->Arg(1 << 18);
+
 /// The zero-allocation contract of the transport layer: once the event slab
 /// is warm (16 rounds), a full send->queue->deliver cycle must not touch the
 /// heap. Counted via the instrumented global allocator; a nonzero count
@@ -355,6 +389,56 @@ void BM_SteadyStateSendAllocationsRecovery(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(messages));
 }
 BENCHMARK(BM_SteadyStateSendAllocationsRecovery);
+
+/// The recovery-enabled contract under the asynchronous engine: the heap
+/// queue's entry array, payload slab and slab free list must, once warm,
+/// serve tracked sends, acks, retransmit timers and resends without
+/// touching the heap. Same shape as the sync bench above: reset() between
+/// runs, one unmeasured warm-up over the identical trace.
+void BM_SteadyStateSendAllocationsAsync(benchmark::State& state) {
+  const sim::Wire wire = bench_wire();
+  const sim::FaultPlan fault = exp::fault_plan_factory("lossy-5pct");
+  const sim::RecoveryPlan recovery = exp::recovery_plan_factory("arq-fast");
+  sim::AsyncConfig cfg;
+  cfg.n = 2;
+  cfg.max_time = 500.0;
+  sim::AsyncEngine engine(cfg);
+  const auto prepare = [&] {
+    engine.reset(cfg);
+    engine.set_wire(&wire);
+    engine.set_fault_plan(&fault);
+    engine.set_recovery_plan(&recovery);
+    engine.set_actor(0, std::make_unique<Bouncer>());
+    engine.set_actor(1, std::make_unique<Bouncer>());
+  };
+  prepare();
+  engine.run([] { return false; });  // warm-up: grow the heap and slab
+  std::size_t allocs = 0;
+  std::uint64_t messages = 0;
+  std::uint64_t retransmits = 0;
+  for (auto _ : state) {
+    prepare();
+    g_alloc_count.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    engine.run([] { return false; });
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    allocs += g_alloc_count.load(std::memory_order_relaxed);
+    messages += engine.metrics().total_messages();
+    retransmits += engine.metrics().recovery_retransmit_messages();
+  }
+  state.counters["steady_allocs_async"] =
+      static_cast<double>(allocs) / static_cast<double>(state.iterations());
+  if (allocs != 0) {
+    state.SkipWithError(
+        "async steady-state send path performed heap allocations");
+  }
+  if (retransmits == 0) {
+    state.SkipWithError(
+        "async recovery bench saw no retransmits — the gate measured nothing");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(messages));
+}
+BENCHMARK(BM_SteadyStateSendAllocationsAsync);
 
 /// Full world construction through the trial arena: what exp::Sweep pays
 /// per trial before the engine runs (samplers re-keyed, string table and

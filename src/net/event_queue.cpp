@@ -1,17 +1,26 @@
 #include "net/event_queue.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
+
+#include "net/recovery.h"
 
 namespace fba::sim {
 
 namespace {
 constexpr std::size_t kArity = 4;
 constexpr std::size_t kInitialRingSlots = 8;
+/// Heap entries below this index (32 KiB) lie on the top levels every pop
+/// walks, so they stay cached; sift-down prefetches only beneath them.
+constexpr std::size_t kPrefetchFrom = 1024;
 }  // namespace
 
 void EventQueue::reserve(std::size_t n) {
-  if (mode_ == Mode::kHeap) heap_.reserve(n);
+  if (mode_ == Mode::kHeap) {
+    heap_.reserve(n);
+    slab_.reserve(n);
+  }
 }
 
 void EventQueue::clear() {
@@ -19,6 +28,8 @@ void EventQueue::clear() {
   peak_size_ = 0;
   next_seq_ = 0;
   heap_.clear();
+  slab_.clear();
+  slab_free_.clear();
   for (Bucket& bucket : ring_) {
     for (auto& lane : bucket.lanes) lane.clear();  // keeps lane capacity
     bucket.count = 0;
@@ -60,11 +71,6 @@ void EventQueue::push(Event&& ev) {
   ev.seq = next_seq_++;
   ++size_;
   if (size_ > peak_size_) peak_size_ = size_;
-  if (mode_ == Mode::kHeap) {
-    heap_.push_back(std::move(ev));
-    heap_sift_up(heap_.size() - 1);
-    return;
-  }
   FBA_ASSERT(ev.pri < kNumPriorities, "bucketed priority class out of range");
   const auto tick = static_cast<std::uint64_t>(ev.at);
   FBA_ASSERT(static_cast<SimTime>(tick) == ev.at,
@@ -75,8 +81,45 @@ void EventQueue::push(Event&& ev) {
   ++bucket.count;
 }
 
+EventQueue::HeapEntry EventQueue::heap_entry(SimTime at, std::uint32_t pri) {
+  // `!(at >= 0)` also rejects NaN; -0.0 passes but its sign bit would sort
+  // it after every positive time, so it is folded into +0.0.
+  FBA_ASSERT(at >= 0, "heap timestamps must be non-negative");
+  FBA_ASSERT(pri < kNumPriorities, "heap priority class out of range");
+  HeapEntry entry;
+  entry.key_hi = std::bit_cast<std::uint64_t>(at == 0 ? SimTime{0} : at);
+  entry.key_lo = (std::uint64_t{pri} << kSeqBits) | next_seq_++;
+  return entry;
+}
+
+void EventQueue::heap_insert(const HeapEntry& entry) {
+  ++size_;
+  if (size_ > peak_size_) peak_size_ = size_;
+  heap_.push_back(entry);
+  heap_sift_up(heap_.size() - 1);
+}
+
+std::uint32_t EventQueue::slab_put(const Envelope& env) {
+  if (!slab_free_.empty()) {
+    const std::uint32_t slot = slab_free_.back();
+    slab_free_.pop_back();
+    slab_[slot] = env;
+    return slot;
+  }
+  FBA_ASSERT(slab_.size() < 0xffffffffu, "payload slab index overflow");
+  slab_.push_back(env);
+  return static_cast<std::uint32_t>(slab_.size() - 1);
+}
+
 void EventQueue::push_message(SimTime at, std::uint32_t pri,
                               const Envelope& env, RecoveryTag rec) {
+  if (mode_ == Mode::kHeap) {
+    HeapEntry entry = heap_entry(at, pri);
+    entry.word = RecoveryState::timer_token(rec);  // the tag's 48-bit form
+    entry.ref = slab_put(env);
+    heap_insert(entry);
+    return;
+  }
   Event ev;
   ev.at = at;
   ev.pri = pri;
@@ -88,6 +131,14 @@ void EventQueue::push_message(SimTime at, std::uint32_t pri,
 
 void EventQueue::push_timer(SimTime at, std::uint32_t pri, NodeId node,
                             std::uint64_t token) {
+  if (mode_ == Mode::kHeap) {
+    HeapEntry entry = heap_entry(at, pri);
+    entry.word = token;
+    entry.ref = node;
+    entry.is_timer = true;
+    heap_insert(entry);
+    return;
+  }
   Event ev;
   ev.at = at;
   ev.pri = pri;
@@ -99,6 +150,8 @@ void EventQueue::push_timer(SimTime at, std::uint32_t pri, NodeId node,
 
 void EventQueue::push_burst(SimTime at, std::uint32_t pri,
                             const Envelope& env) {
+  FBA_ASSERT(mode_ == Mode::kBuckets,
+             "burst descriptors ride the sync engine's bucket queue");
   Event ev;
   ev.at = at;
   ev.pri = pri;
@@ -107,9 +160,13 @@ void EventQueue::push_burst(SimTime at, std::uint32_t pri,
   push(std::move(ev));
 }
 
+SimTime EventQueue::heap_front_at() const {
+  return std::bit_cast<SimTime>(heap_.front().key_hi);
+}
+
 SimTime EventQueue::next_at() const {
   FBA_ASSERT(size_ > 0, "next_at() on an empty event queue");
-  if (mode_ == Mode::kHeap) return heap_.front().at;
+  if (mode_ == Mode::kHeap) return heap_front_at();
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     if (ring_[(head_ + i) % ring_.size()].count > 0) {
       return static_cast<SimTime>(base_tick_ + i);
@@ -122,14 +179,23 @@ EventQueue::Event EventQueue::pop() {
   FBA_ASSERT(size_ > 0, "pop() on an empty event queue");
   --size_;
   if (mode_ == Mode::kHeap) {
-    Event out = std::move(heap_.front());
-    if (heap_.size() > 1) {
-      heap_.front() = std::move(heap_.back());
-      heap_.pop_back();
-      heap_sift_down(0);
+    const HeapEntry& front = heap_.front();
+    Event out;
+    out.at = std::bit_cast<SimTime>(front.key_hi);
+    out.pri = static_cast<std::uint32_t>(front.key_lo >> kSeqBits);
+    out.seq = front.key_lo & ((std::uint64_t{1} << kSeqBits) - 1);
+    if (front.is_timer) {
+      out.is_timer = true;
+      out.timer_node = front.ref;
+      out.timer_token = front.word;
     } else {
-      heap_.pop_back();
+      const RecoveryTag rec = RecoveryState::tag_of_token(front.word);
+      out.rec_slot1 = rec.slot1;
+      out.rec_gen = rec.gen;
+      out.env = slab_[front.ref];
+      slab_free_.push_back(front.ref);
     }
+    heap_remove_front();
     return out;
   }
   while (front_bucket().count == 0) step_base();
@@ -152,7 +218,7 @@ EventQueue::Event EventQueue::pop() {
 std::size_t EventQueue::pop_due(SimTime until, std::vector<Event>& out) {
   out.clear();
   if (mode_ == Mode::kHeap) {
-    while (size_ > 0 && heap_.front().at <= until) {
+    while (size_ > 0 && heap_front_at() <= until) {
       out.push_back(pop());
     }
     return out.size();
@@ -175,38 +241,47 @@ void EventQueue::heap_sift_up(std::size_t i) {
   if (i == 0) return;
   std::size_t parent = (i - 1) / kArity;
   if (!before(heap_[i], heap_[parent])) return;  // common case: appended last
-  Event moving = std::move(heap_[i]);
+  const HeapEntry moving = heap_[i];
   while (true) {
-    heap_[i] = std::move(heap_[parent]);
+    heap_[i] = heap_[parent];
     i = parent;
     if (i == 0) break;
     parent = (i - 1) / kArity;
     if (!before(moving, heap_[parent])) break;
   }
-  heap_[i] = std::move(moving);
+  heap_[i] = moving;
 }
 
-void EventQueue::heap_sift_down(std::size_t i) {
+void EventQueue::heap_remove_front() {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
   const std::size_t n = heap_.size();
-  auto best_child = [&](std::size_t node) {
-    const std::size_t first = kArity * node + 1;
-    if (first >= n) return n;
+  if (n == 0) return;
+  std::size_t hole = 0;
+  while (true) {
+    const std::size_t first = kArity * hole + 1;
+    if (first >= n) break;
+    // Past the hot top levels every level is a cache miss: fetch all four
+    // candidate grandchild groups — 16 entries, 512 bytes — while this
+    // level's minimum is being picked. Two entries per cache line.
+    const std::size_t grand = kArity * first + 1;
+    if (grand >= kPrefetchFrom) {
+      const std::size_t grand_end = std::min(grand + kArity * kArity, n);
+      for (std::size_t g = grand; g < grand_end; g += 2) {
+        __builtin_prefetch(&heap_[g]);
+      }
+      if (grand < grand_end) __builtin_prefetch(&heap_[grand_end - 1]);
+    }
     std::size_t best = first;
-    const std::size_t last = std::min(first + kArity, n);
-    for (std::size_t c = first + 1; c < last; ++c) {
+    const std::size_t end = std::min(first + kArity, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
       if (before(heap_[c], heap_[best])) best = c;
     }
-    return best;
-  };
-  std::size_t child = best_child(i);
-  if (child >= n || !before(heap_[child], heap_[i])) return;  // already placed
-  Event moving = std::move(heap_[i]);
-  do {
-    heap_[i] = std::move(heap_[child]);
-    i = child;
-    child = best_child(i);
-  } while (child < n && before(heap_[child], moving));
-  heap_[i] = std::move(moving);
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = last;
+  heap_sift_up(hole);
 }
 
 }  // namespace fba::sim

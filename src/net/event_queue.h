@@ -13,7 +13,15 @@
 //
 // Two storage modes, chosen by the owning engine's timing model:
 //   - kHeap    — an implicit 4-ary min-heap; for continuous timestamps
-//                (async engine). O(log n) push/pop.
+//                (async engine). O(log n) push/pop. The heap sifts compact
+//                32-byte entries (HeapEntry), not Events: the (at, pri, seq)
+//                key packed into two words compared as one 128-bit integer,
+//                plus a timer's node and token carried inline. A message's
+//                Envelope is parked in a pooled payload slab (LIFO free
+//                list) and touched once on push and once on pop, so a sift
+//                level reads one 128-byte sibling group and timers — the
+//                recovery layer's retransmit timers are a large share of a
+//                lossy run's queue — never touch the slab at all.
 //   - kBuckets — a calendar ring of per-timestamp buckets with one lane per
 //                priority class; for integral timestamps (sync rounds).
 //                O(1) push, O(1)-per-event batched pop, nothing is ever
@@ -48,6 +56,9 @@ class EventQueue {
   /// Priority classes supported in bucket mode (lanes per bucket).
   static constexpr std::uint32_t kNumPriorities = 3;
 
+  /// One event as consumers see it. Bucket mode stores Events as they are;
+  /// heap mode stores a HeapEntry (plus a slab payload) and rebuilds the
+  /// Event on pop.
   struct Event {
     SimTime at = 0;
     std::uint32_t pri = 0;
@@ -96,7 +107,7 @@ class EventQueue {
   /// n*d^3 queued envelopes). `env` carries the template message; dst is
   /// ignored. Ordering is a single (at, pri, seq) slot, which matches the
   /// per-send path exactly because the expanded sends were consecutive
-  /// seqs there too.
+  /// seqs there too. Bucket mode only: bursts belong to the sync engine.
   void push_burst(SimTime at, std::uint32_t pri, const Envelope& env);
 
   /// Removes and returns the next event in (at, pri, seq) order.
@@ -117,7 +128,7 @@ class EventQueue {
   template <typename Visitor>
   void drain_due(SimTime until, Visitor&& visit) {
     if (mode_ == Mode::kHeap) {
-      while (size_ > 0 && heap_.front().at <= until) {
+      while (size_ > 0 && heap_front_at() <= until) {
         Event ev = pop();
         visit(ev);
       }
@@ -159,15 +170,49 @@ class EventQueue {
   /// core's contribution to a trial's deterministic memory accounting.
   std::size_t peak_size() const { return peak_size_; }
 
+  /// Heap mode: payload-slab slots handed out since the last clear() — the
+  /// high-water of simultaneously queued messages (timers take no slot).
+  /// 0 in bucket mode.
+  std::size_t slab_slots() const { return slab_.size(); }
+
  private:
-  void push(Event&& ev);
-  void heap_sift_up(std::size_t i);
-  void heap_sift_down(std::size_t i);
-  static bool before(const Event& x, const Event& y) {
-    if (x.at != y.at) return x.at < y.at;
-    if (x.pri != y.pri) return x.pri < y.pri;
-    return x.seq < y.seq;
+  /// One heap-mode entry. (key_hi, key_lo) is the (at, pri, seq) order as
+  /// one unsigned 128-bit integer: key_hi is the bit pattern of the
+  /// non-negative timestamp (IEEE-754 non-negative doubles order like their
+  /// bit patterns), key_lo is pri << kSeqBits | seq. Timers carry their
+  /// node and token here; messages carry their slab index and packed
+  /// recovery tag.
+  struct HeapEntry {
+    std::uint64_t key_hi = 0;
+    std::uint64_t key_lo = 0;
+    std::uint64_t word = 0;  ///< timer token, or the packed recovery tag.
+    std::uint32_t ref = 0;   ///< timer node, or the payload slab index.
+    bool is_timer = false;
+  };
+  static_assert(sizeof(HeapEntry) == 32, "four siblings span 128 bytes");
+  static constexpr unsigned kSeqBits = 62;
+
+  static bool before(const HeapEntry& x, const HeapEntry& y) {
+    using Key = unsigned __int128;
+    return ((Key{x.key_hi} << 64) | x.key_lo) <
+           ((Key{y.key_hi} << 64) | y.key_lo);
   }
+  SimTime heap_front_at() const;
+  /// A validated entry keyed (at, pri, next seq); the caller fills in the
+  /// payload fields before heap_insert.
+  HeapEntry heap_entry(SimTime at, std::uint32_t pri);
+  void heap_insert(const HeapEntry& entry);
+  /// Parks `env` in the payload slab; returns its slot index.
+  std::uint32_t slab_put(const Envelope& env);
+  void heap_sift_up(std::size_t i);
+  /// Removes the root: a hole walks down along the smaller children to a
+  /// leaf, then the former last entry sifts up from there — the last entry
+  /// is usually among the latest events, so this skips the per-level
+  /// "does it stop here?" compare of the textbook sift-down.
+  void heap_remove_front();
+
+  /// Bucket-mode push (heap mode builds HeapEntry instead).
+  void push(Event&& ev);
 
   /// One integral timestamp's pending events, one lane per priority class.
   struct Bucket {
@@ -184,8 +229,11 @@ class EventQueue {
   std::size_t peak_size_ = 0;
   std::uint64_t next_seq_ = 0;
 
-  // kHeap state: implicit 4-ary min-heap over one slab.
-  std::vector<Event> heap_;
+  // kHeap state: implicit 4-ary min-heap of compact entries, and the pooled
+  // payload slab their messages point into.
+  std::vector<HeapEntry> heap_;
+  std::vector<Envelope> slab_;
+  std::vector<std::uint32_t> slab_free_;  ///< reusable slab slots (LIFO).
 
   // kBuckets state: power-of-two ring of buckets covering ticks
   // [base_tick_, base_tick_ + ring_.size()); head_ indexes base_tick_'s slot.

@@ -4,13 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "net/event_queue.h"
 #include "net/message.h"
+#include "net/network.h"
 #include "support/bitstring.h"
 #include "support/random.h"
 
@@ -202,6 +206,131 @@ TEST_P(EventQueueModes, RandomizedOrderMatchesStableSort) {
     EXPECT_EQ(ev.env.src, expected.idx);
     EXPECT_EQ(ev.at, expected.at);
   }
+}
+
+// ----- heap mode: compact entries over the payload slab ---------------------
+
+/// The reference model's record of one queued event.
+struct QueuedEvent {
+  bool is_timer = false;
+  NodeId timer_node = 0;
+  std::uint64_t payload = 0;  ///< timer token, or env.msg.value.
+  RecoveryTag rec;
+};
+
+/// Interleaved pushes and pops against an ordered map keyed (at, pri, seq):
+/// every pop must return the model's first entry with its payload intact —
+/// full 64-bit timer tokens, the sentinel timer node and recovery tags
+/// included. Times sit on a coarse grid so most keys tie on `at` and the
+/// pri/seq tie-breaks decide.
+TEST(EventQueueHeapTest, InterleavedPushPopMatchesOrderedModel) {
+  EventQueue q(EventQueue::Mode::kHeap);
+  Rng rng(20130722);
+  std::map<std::tuple<double, std::uint32_t, std::uint64_t>, QueuedEvent>
+      model;
+  std::uint64_t seq = 0;
+  double now = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (model.empty() || rng.below(5) < 3) {
+      const double at = now + 0.5 * static_cast<double>(rng.below(6));
+      const auto pri = static_cast<std::uint32_t>(rng.below(3));
+      QueuedEvent ev;
+      ev.payload = rng.next();
+      if (rng.below(2) == 0) {
+        ev.is_timer = true;
+        ev.timer_node = rng.below(4) == 0 ? kRecoveryTimerNode : rng.node(64);
+        q.push_timer(at, pri, ev.timer_node, ev.payload);
+      } else {
+        Envelope env;
+        env.msg.value = ev.payload;
+        if (rng.below(2) == 0) {
+          ev.rec = RecoveryTag{static_cast<std::uint32_t>(rng.next()),
+                               static_cast<std::uint16_t>(rng.below(65536))};
+        }
+        q.push_message(at, pri, env, ev.rec);
+      }
+      model.emplace(std::make_tuple(at, pri, seq++), ev);
+    } else {
+      const auto it = model.begin();
+      const auto& [at, pri, expected_seq] = it->first;
+      const QueuedEvent& expected = it->second;
+      const EventQueue::Event ev = q.pop();
+      ASSERT_EQ(ev.at, at) << "step " << step;
+      ASSERT_EQ(ev.pri, pri) << "step " << step;
+      ASSERT_EQ(ev.seq, expected_seq) << "step " << step;
+      ASSERT_EQ(ev.is_timer, expected.is_timer);
+      if (ev.is_timer) {
+        EXPECT_EQ(ev.timer_node, expected.timer_node);
+        EXPECT_EQ(ev.timer_token, expected.payload);
+      } else {
+        EXPECT_EQ(ev.env.msg.value, expected.payload);
+        EXPECT_EQ(ev.rec().slot1, expected.rec.slot1);
+        EXPECT_EQ(ev.rec().gen, expected.rec.gen);
+      }
+      now = ev.at;
+      model.erase(it);
+    }
+    ASSERT_EQ(q.size(), model.size());
+  }
+  EXPECT_GT(q.peak_size(), 1000u);  // deep enough to sift many levels
+}
+
+/// Timers ride inline in the heap entry; only messages take a payload-slab
+/// slot, and a popped message's slot is reused by the next push, so the
+/// slab tracks the high-water of queued messages rather than the number
+/// ever sent.
+TEST(EventQueueHeapTest, TimersTakeNoSlabSlotAndSlotsAreReused) {
+  EventQueue q(EventQueue::Mode::kHeap);
+  for (std::uint32_t i = 0; i < 100; ++i) {
+    q.push_timer(10.0 + i, 0, i, i);
+  }
+  EXPECT_EQ(q.slab_slots(), 0u);
+  Envelope env;
+  for (std::uint64_t round = 0; round < 50; ++round) {
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      env.msg.value = round * 4 + k;
+      q.push_message(0.1 * static_cast<double>(round), 0, env);  // < timers
+    }
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      const EventQueue::Event ev = q.pop();
+      ASSERT_FALSE(ev.is_timer);
+      EXPECT_EQ(ev.env.msg.value, round * 4 + k);
+    }
+  }
+  EXPECT_EQ(q.slab_slots(), 4u);
+  EXPECT_EQ(q.size(), 100u);
+
+  q.clear();  // rewinds the slab and the seq counter with the queue
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.slab_slots(), 0u);
+  q.push_message(1.0, 0, env);
+  EXPECT_EQ(q.slab_slots(), 1u);
+  EXPECT_EQ(q.pop().seq, 0u);
+}
+
+/// Heap keys compare timestamps by their bit patterns, which order like the
+/// doubles only for non-negative values: -0.0 is folded into time zero, and
+/// negative or NaN timestamps — like out-of-range priority classes and
+/// burst descriptors, which belong to the sync engine — are rejected before
+/// anything is queued.
+TEST(EventQueueHeapTest, RejectsPushesOutsideTheKeyDomain) {
+  EventQueue q(EventQueue::Mode::kHeap);
+  Envelope env;
+  env.src = 1;
+  q.push_message(0.25, 0, env);
+  env.src = 2;
+  q.push_message(-0.0, 0, env);
+  EXPECT_THROW(q.push_message(-1.0, 0, env), InvariantError);
+  EXPECT_THROW(q.push_timer(std::nan(""), 0, 0, 0), InvariantError);
+  EXPECT_THROW(q.push_message(1.0, EventQueue::kNumPriorities, env),
+               InvariantError);
+  EXPECT_THROW(q.push_burst(1.0, 0, env), InvariantError);  // sync-only
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.slab_slots(), 2u);  // rejected pushes took no slot
+  const EventQueue::Event first = q.pop();
+  EXPECT_EQ(first.env.src, 2u);
+  EXPECT_EQ(first.at, 0.0);
+  EXPECT_EQ(q.pop().env.src, 1u);
 }
 
 }  // namespace
