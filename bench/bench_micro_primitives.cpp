@@ -290,9 +290,9 @@ void BM_EventQueueHeapHold(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueHeapHold)->Arg(1 << 10)->Arg(1 << 18);
 
-/// The zero-allocation contract of the transport layer: once the event slab
-/// is warm (16 rounds), a full send->queue->deliver cycle must not touch the
-/// heap. Counted via the instrumented global allocator; a nonzero count
+/// The zero-allocation contract of the transport layer: once the event
+/// queue's chunk pool is warm (16 rounds), a full send->queue->deliver cycle
+/// must not touch the heap. Counted via the instrumented global allocator; a nonzero count
 /// fails the benchmark (and the CI smoke step with it).
 void BM_SteadyStateSendAllocations(benchmark::State& state) {
   const sim::Wire wire = bench_wire();
@@ -307,7 +307,7 @@ void BM_SteadyStateSendAllocations(benchmark::State& state) {
     engine.set_actor(0, std::make_unique<Bouncer>());
     engine.set_actor(1, std::make_unique<Bouncer>());
     engine.run([&engine] {
-      if (engine.current_round() == 16) {  // slab and scratch are warm now
+      if (engine.current_round() == 16) {  // the chunk pool is warm now
         g_alloc_count.store(0, std::memory_order_relaxed);
         g_count_allocs.store(true, std::memory_order_relaxed);
       }
@@ -328,10 +328,10 @@ BENCHMARK(BM_SteadyStateSendAllocations);
 
 /// The same contract with the recovery sublayer engaged: tracked sends,
 /// ack generation, retransmit timers and resends all run from the pooled
-/// slot table and the event slab. Unlike the plain bench's constant
-/// 2-messages-per-round trace, lossy ARQ traffic is bursty — the event
-/// queue's lane/ring capacity high-water is only reached somewhere inside
-/// the run — so this bench follows BM_WarmTrialAllocations' shape instead:
+/// slot table and the event queue's chunk pool. Unlike the plain bench's
+/// constant 2-messages-per-round trace, lossy ARQ traffic is bursty — the
+/// event queue's chunk/ring high-water is only reached somewhere inside the
+/// run — so this bench follows BM_WarmTrialAllocations' shape instead:
 /// one engine, reset() between runs (capacity persists, as in the trial
 /// arena), one unmeasured warm-up run over the identical deterministic
 /// trace, then every measured run must perform zero heap allocations. The
@@ -354,7 +354,7 @@ void BM_SteadyStateSendAllocationsRecovery(benchmark::State& state) {
     engine.set_actor(1, std::make_unique<Bouncer>());
     engine.run([] { return false; });
   };
-  run_once();  // warm-up: grow queue lanes/ring and the slot pool
+  run_once();  // warm-up: grow the chunk pool, ring and slot pool
   std::size_t allocs = 0;
   std::uint64_t messages = 0;
   std::uint64_t retransmits = 0;

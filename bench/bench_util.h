@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -47,23 +48,57 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-/// Parses `--name=value` into a string; returns `fallback` when absent.
-inline std::string string_flag(int argc, char** argv, const char* name,
-                               const char* fallback) {
+/// The value of the first `--name=value` argument, or nullptr when absent.
+inline const char* find_flag(int argc, char** argv, const char* name) {
   const std::size_t len = std::strlen(name);
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
       return argv[i] + len + 1;
     }
   }
-  return fallback;
+  return nullptr;
+}
+
+/// Parses `--name=value` into a string; returns `fallback` when absent.
+inline std::string string_flag(int argc, char** argv, const char* name,
+                               const char* fallback) {
+  const char* value = find_flag(argc, argv, name);
+  return value != nullptr ? value : fallback;
+}
+
+/// Strict unsigned integer: at least one character, every one a digit, and
+/// no overflow. Leaves `out` untouched on failure.
+inline bool parse_count(const char* text, std::size_t& out) {
+  if (*text == '\0') return false;
+  std::size_t v = 0;
+  for (const char* p = text; *p != '\0'; ++p) {
+    if (*p < '0' || *p > '9') return false;
+    const auto digit = static_cast<std::size_t>(*p - '0');
+    if (v > (SIZE_MAX - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  out = v;
+  return true;
 }
 
 /// Parses `--name=value` into a size_t; returns `fallback` when absent.
+/// Strict like positive_flag, except that zero is legal (it means "auto"
+/// for flags such as --d=): a negative, partly numeric, empty or
+/// overflowing value gets a one-line error and exit 2 instead of wrapping
+/// or silently truncating.
 inline std::size_t flag_value(int argc, char** argv, const char* name,
                               std::size_t fallback) {
-  const std::string value = string_flag(argc, argv, name, "");
-  return value.empty() ? fallback : std::strtoull(value.c_str(), nullptr, 10);
+  const char* value = find_flag(argc, argv, name);
+  if (value == nullptr) return fallback;
+  std::size_t parsed = 0;
+  if (!parse_count(value, parsed)) {
+    const char* slash = std::strrchr(argv[0], '/');
+    std::fprintf(stderr,
+                 "%s: invalid %s=%s (expected a non-negative integer)\n",
+                 slash != nullptr ? slash + 1 : argv[0], name, value);
+    std::exit(2);
+  }
+  return parsed;
 }
 
 /// The `--fault=<preset>` axis shared with fba_sim and exp::Grid
@@ -87,25 +122,20 @@ inline sim::RecoveryPlan check_recovery(const char* binary,
   }
 }
 
-/// Strict positive-integer flag value: every character a digit and the
-/// number > 0. Zero, negatives, and garbage get a one-line error and
-/// exit 2 — the same contract --corrupt=/--know= follow in fba_sim
-/// (previously --trials=abc silently became the scale default and
-/// --threads=0 silently became 1).
+/// Strict positive-integer flag value: every character a digit, no
+/// overflow and the number > 0. Zero, negatives, and garbage get a
+/// one-line error and exit 2 — the same contract --corrupt=/--know= follow
+/// in fba_sim (previously --trials=abc silently became the scale default
+/// and --threads=0 silently became 1).
 inline std::size_t positive_flag(const char* binary, const char* name,
                                  const char* value) {
-  bool digits = *value != '\0';
-  for (const char* p = value; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') digits = false;
-  }
-  const unsigned long long v =
-      digits ? std::strtoull(value, nullptr, 10) : 0;
-  if (!digits || v == 0) {
+  std::size_t v = 0;
+  if (!parse_count(value, v) || v == 0) {
     std::fprintf(stderr, "%s: invalid %s=%s (expected a positive integer)\n",
                  binary, name, value);
     std::exit(2);
   }
-  return static_cast<std::size_t>(v);
+  return v;
 }
 
 inline std::string ratio(std::size_t num, std::size_t den) {

@@ -452,18 +452,18 @@ void fill_aer_specific_soa(AerReport& report, const AerWorld& world,
 }
 
 /// Trial-wide memory account shared by both engine flavors: the SoA state,
-/// the event core's high-water mark, the metrics arrays, the dense sampler
-/// tables and the interned strings. All terms are logical sizes or
-/// capacity-rules over counts (support/mem.h), never allocator state.
+/// the event core's high-water bytes (in its storage layout), the metrics
+/// arrays, the dense sampler tables and the interned strings. All terms are
+/// logical sizes or capacity-rules over counts (support/mem.h), never
+/// allocator state.
 void charge_trial_mem(support::MemBudget& mem, const AerWorld& world,
-                      const SoaAerState& state, std::size_t queue_peak) {
+                      const SoaAerState& state, std::size_t queue_bytes) {
   const AerShared& shared = *world.shared;
   const std::size_t n = shared.config.n;
   const std::size_t d = shared.config.resolved_d();
 
   state.charge_mem(mem);
-  mem.charge(static_cast<std::uint64_t>(queue_peak) *
-             sizeof(sim::EventQueue::Event));
+  mem.charge(queue_bytes);
   // TrafficMetrics: sent bits / received bits / sent messages per node.
   mem.charge(static_cast<std::uint64_t>(n) * 3 * sizeof(std::uint64_t));
   // Dense sampler rows (sampler/tables.cpp layout): quorum rows hold a
@@ -557,14 +557,13 @@ AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
     harvest_adaptive(engine);
     fill_outcome_and_traffic(report, world, engine.metrics());
     fill_aer_specific_soa(report, world, arena.state);
-    charge_trial_mem(mem, world, arena.state, engine.queue_peak());
+    charge_trial_mem(mem, world, arena.state, engine.queue_peak_bytes());
   } else {
     sim::SyncConfig ec;
     ec.n = config.n;
     ec.seed = config.seed;
     ec.rushing_adversary = config.model == Model::kSyncRushing;
     ec.max_rounds = config.max_rounds;
-    ec.round_drain = opts.round_drain;
     if (arena.sync.has_value()) arena.sync->reset(ec);
     else arena.sync.emplace(ec);
     sim::SyncEngine& engine = *arena.sync;
@@ -583,7 +582,7 @@ AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
     harvest_adaptive(engine);
     fill_outcome_and_traffic(report, world, engine.metrics());
     fill_aer_specific_soa(report, world, arena.state);
-    charge_trial_mem(mem, world, arena.state, engine.queue_peak());
+    charge_trial_mem(mem, world, arena.state, engine.queue_peak_bytes());
   }
   report.mem_bytes = mem.total_bytes();
   report.mem_bytes_per_node = mem.bytes_per_node(config.n);

@@ -202,9 +202,6 @@ struct SoaArena {
 };
 
 struct SoaRunOptions {
-  /// Drain sync rounds in place (EventQueue::drain_due) instead of copying
-  /// them into the per-round scratch vector.
-  bool round_drain = true;
   /// Queue Fw1 fan-outs as burst descriptors. Applied only when eligible:
   /// synchronous model, no adversary strategy, no fault plan (the burst
   /// path skips the per-send observe/fault taps). Ineligible runs silently

@@ -427,7 +427,6 @@ void run_aer_scale_trial(const aer::AerConfig& config, const GridPoint& point,
   aer::build_aer_world_into(arena.world, cfg);
   const auto t1 = clock::now();
   aer::SoaRunOptions run_opts;
-  run_opts.round_drain = options.round_drain;
   run_opts.bursts = options.bursts;
   run_opts.round_progress = options.round_progress;
   const aer::AerReport report = aer::run_aer_world_soa(

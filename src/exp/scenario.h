@@ -94,9 +94,6 @@ class ScaleArena;
 /// Knobs for the scale-mode trial runner below (exp-level mirror of
 /// aer::SoaRunOptions, so callers need not reach into aer/soa.h).
 struct ScaleTrialOptions {
-  /// Drain each round's events with the event queue's linear round-drain
-  /// scan instead of per-event heap pops.
-  bool round_drain = true;
   /// Collapse each d^2 Fw1 forward fan-out into one burst descriptor
   /// (automatically disabled when the point carries an attack or faults).
   bool bursts = true;

@@ -43,8 +43,10 @@ class AsyncEngine : public EngineBase {
   void reset(const AsyncConfig& config);
 
   double now() const override { return current_time_; }
-  /// Pending-event high-water mark since the last reset (memory accounting).
+  /// Pending-event high-water mark since the last reset.
   std::size_t queue_peak() const { return queue_.peak_size(); }
+  /// Bytes those pending events occupied at the mark (memory accounting).
+  std::size_t queue_peak_bytes() const { return queue_.peak_bytes(); }
 
   AsyncResult run(const std::function<bool()>& done);
 

@@ -30,12 +30,21 @@ void EventQueue::clear() {
   heap_.clear();
   slab_.clear();
   slab_free_.clear();
-  for (Bucket& bucket : ring_) {
-    for (auto& lane : bucket.lanes) lane.clear();  // keeps lane capacity
-    bucket.count = 0;
+  // Every chunk goes back on the free list, whichever lane held it —
+  // including any that a throwing visitor left detached mid-drain.
+  std::fill(ring_.begin(), ring_.end(), Bucket{});
+  free_chunks_ = nullptr;
+  for (const std::unique_ptr<Chunk>& chunk : chunks_) {
+    release_chunk(chunk.get());
   }
   head_ = 0;
   base_tick_ = 0;
+}
+
+std::size_t EventQueue::peak_bytes() const {
+  if (mode_ == Mode::kBuckets) return peak_size_ * sizeof(LaneEntry);
+  return peak_size_ * sizeof(HeapEntry) +
+         slab_.size() * (sizeof(Envelope) + sizeof(std::uint32_t));
 }
 
 void EventQueue::grow_ring(std::size_t min_slots) {
@@ -44,9 +53,10 @@ void EventQueue::grow_ring(std::size_t min_slots) {
   while (slots < min_slots) slots *= 2;
   std::vector<Bucket> bigger(slots);
   // Re-seat existing buckets at their new positions (tick order preserved;
-  // base_tick_ maps to slot 0 of the new ring).
+  // base_tick_ maps to slot 0 of the new ring). Buckets hold only chain
+  // pointers: the entries themselves never move.
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    bigger[i] = std::move(ring_[(head_ + i) % ring_.size()]);
+    bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
   }
   ring_ = std::move(bigger);
   head_ = 0;
@@ -56,29 +66,42 @@ EventQueue::Bucket& EventQueue::bucket_at(std::uint64_t tick) {
   FBA_ASSERT(tick >= base_tick_, "bucketed push into the past");
   const std::uint64_t offset = tick - base_tick_;
   if (offset >= ring_.size()) grow_ring(offset + 1);
-  return ring_[(head_ + offset) % ring_.size()];
+  return ring_[(head_ + offset) & (ring_.size() - 1)];
 }
 
-void EventQueue::step_base() {
-  Bucket& bucket = ring_[head_];
-  for (auto& lane : bucket.lanes) lane.clear();  // keeps lane capacity
-  bucket.count = 0;
-  head_ = (head_ + 1) % ring_.size();
-  ++base_tick_;
+EventQueue::Chunk* EventQueue::acquire_chunk() {
+  if (free_chunks_ == nullptr) {
+    // Default-initialized: `next` is set, the entry storage stays raw.
+    chunks_.push_back(std::unique_ptr<Chunk>(new Chunk));
+    return chunks_.back().get();
+  }
+  Chunk* chunk = free_chunks_;
+  free_chunks_ = chunk->next;
+  chunk->next = nullptr;
+  return chunk;
 }
 
-void EventQueue::push(Event&& ev) {
-  ev.seq = next_seq_++;
-  ++size_;
-  if (size_ > peak_size_) peak_size_ = size_;
-  FBA_ASSERT(ev.pri < kNumPriorities, "bucketed priority class out of range");
-  const auto tick = static_cast<std::uint64_t>(ev.at);
-  FBA_ASSERT(static_cast<SimTime>(tick) == ev.at,
+void* EventQueue::lane_slot(SimTime at, std::uint32_t pri) {
+  FBA_ASSERT(pri < kNumPriorities, "bucketed priority class out of range");
+  const auto tick = static_cast<std::uint64_t>(at);
+  FBA_ASSERT(static_cast<SimTime>(tick) == at,
              "bucketed timestamps must be integral");
   Bucket& bucket = bucket_at(tick);
-  const std::uint32_t pri = ev.pri;
-  bucket.lanes[pri].push_back(std::move(ev));
+  Lane& lane = bucket.lanes[pri];
+  if (lane.fill == kChunkEntries || lane.tail == nullptr) {
+    Chunk* chunk = acquire_chunk();
+    if (lane.tail == nullptr) {
+      lane.head = chunk;
+    } else {
+      lane.tail->next = chunk;
+    }
+    lane.tail = chunk;
+    lane.fill = 0;
+  }
   ++bucket.count;
+  ++size_;
+  if (size_ > peak_size_) peak_size_ = size_;
+  return lane.tail->entries() + lane.fill++;
 }
 
 EventQueue::HeapEntry EventQueue::heap_entry(SimTime at, std::uint32_t pri) {
@@ -120,13 +143,9 @@ void EventQueue::push_message(SimTime at, std::uint32_t pri,
     heap_insert(entry);
     return;
   }
-  Event ev;
-  ev.at = at;
-  ev.pri = pri;
-  ev.rec_slot1 = rec.slot1;
-  ev.rec_gen = rec.gen;
-  ev.env = env;
-  push(std::move(ev));
+  ::new (lane_slot(at, pri)) LaneEntry{
+      env, (std::uint64_t{rec.slot1} << 32) | (std::uint64_t{rec.gen} << 16) |
+               static_cast<std::uint64_t>(LaneEntry::Kind::kMessage)};
 }
 
 void EventQueue::push_timer(SimTime at, std::uint32_t pri, NodeId node,
@@ -139,25 +158,18 @@ void EventQueue::push_timer(SimTime at, std::uint32_t pri, NodeId node,
     heap_insert(entry);
     return;
   }
-  Event ev;
-  ev.at = at;
-  ev.pri = pri;
-  ev.is_timer = true;
-  ev.timer_node = node;
-  ev.timer_token = token;
-  push(std::move(ev));
+  LaneEntry* slot = ::new (lane_slot(at, pri)) LaneEntry{
+      Envelope{}, static_cast<std::uint64_t>(LaneEntry::Kind::kTimer)};
+  slot->env.dst = node;
+  slot->env.msg.value = token;
 }
 
 void EventQueue::push_burst(SimTime at, std::uint32_t pri,
                             const Envelope& env) {
   FBA_ASSERT(mode_ == Mode::kBuckets,
              "burst descriptors ride the sync engine's bucket queue");
-  Event ev;
-  ev.at = at;
-  ev.pri = pri;
-  ev.is_burst = true;
-  ev.env = env;
-  push(std::move(ev));
+  ::new (lane_slot(at, pri)) LaneEntry{
+      env, static_cast<std::uint64_t>(LaneEntry::Kind::kBurst)};
 }
 
 SimTime EventQueue::heap_front_at() const {
@@ -165,76 +177,33 @@ SimTime EventQueue::heap_front_at() const {
 }
 
 SimTime EventQueue::next_at() const {
+  FBA_ASSERT(mode_ == Mode::kHeap, "next_at() needs the heap queue");
   FBA_ASSERT(size_ > 0, "next_at() on an empty event queue");
-  if (mode_ == Mode::kHeap) return heap_front_at();
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    if (ring_[(head_ + i) % ring_.size()].count > 0) {
-      return static_cast<SimTime>(base_tick_ + i);
-    }
-  }
-  return 0;  // unreachable: size_ > 0
+  return heap_front_at();
 }
 
 EventQueue::Event EventQueue::pop() {
+  FBA_ASSERT(mode_ == Mode::kHeap, "pop() needs the heap queue");
   FBA_ASSERT(size_ > 0, "pop() on an empty event queue");
   --size_;
-  if (mode_ == Mode::kHeap) {
-    const HeapEntry& front = heap_.front();
-    Event out;
-    out.at = std::bit_cast<SimTime>(front.key_hi);
-    out.pri = static_cast<std::uint32_t>(front.key_lo >> kSeqBits);
-    out.seq = front.key_lo & ((std::uint64_t{1} << kSeqBits) - 1);
-    if (front.is_timer) {
-      out.is_timer = true;
-      out.timer_node = front.ref;
-      out.timer_token = front.word;
-    } else {
-      const RecoveryTag rec = RecoveryState::tag_of_token(front.word);
-      out.rec_slot1 = rec.slot1;
-      out.rec_gen = rec.gen;
-      out.env = slab_[front.ref];
-      slab_free_.push_back(front.ref);
-    }
-    heap_remove_front();
-    return out;
+  const HeapEntry& front = heap_.front();
+  Event out;
+  out.at = std::bit_cast<SimTime>(front.key_hi);
+  out.pri = static_cast<std::uint32_t>(front.key_lo >> kSeqBits);
+  out.seq = front.key_lo & ((std::uint64_t{1} << kSeqBits) - 1);
+  if (front.is_timer) {
+    out.is_timer = true;
+    out.timer_node = front.ref;
+    out.timer_token = front.word;
+  } else {
+    const RecoveryTag rec = RecoveryState::tag_of_token(front.word);
+    out.rec_slot1 = rec.slot1;
+    out.rec_gen = rec.gen;
+    out.env = slab_[front.ref];
+    slab_free_.push_back(front.ref);
   }
-  while (front_bucket().count == 0) step_base();
-  Bucket& bucket = front_bucket();
-  // (at, pri, seq) order: the earliest tick's lowest-priority non-empty
-  // lane, whose front holds that lane's lowest seq (lanes are push-ordered).
-  // Front-erase is O(lane); single pops from buckets are rare (the sync
-  // engine drains whole rounds via pop_due), so correctness over speed here.
-  for (auto& lane : bucket.lanes) {
-    if (lane.empty()) continue;
-    Event out = std::move(lane.front());
-    lane.erase(lane.begin());
-    --bucket.count;
-    return out;
-  }
-  FBA_ASSERT(false, "non-empty bucket has empty lanes");
-  return Event{};
-}
-
-std::size_t EventQueue::pop_due(SimTime until, std::vector<Event>& out) {
-  out.clear();
-  if (mode_ == Mode::kHeap) {
-    while (size_ > 0 && heap_front_at() <= until) {
-      out.push_back(pop());
-    }
-    return out.size();
-  }
-  // Advance one tick at a time and never beyond `until`: base_tick_ must
-  // stay at most one past the drained range, since the engine's next round
-  // pushes at `until + 1`.
-  while (!ring_.empty() && static_cast<SimTime>(base_tick_) <= until) {
-    Bucket& bucket = front_bucket();
-    for (auto& lane : bucket.lanes) {
-      for (Event& ev : lane) out.push_back(std::move(ev));
-    }
-    size_ -= bucket.count;
-    step_base();
-  }
-  return out.size();
+  heap_remove_front();
+  return out;
 }
 
 void EventQueue::heap_sift_up(std::size_t i) {

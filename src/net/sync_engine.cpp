@@ -27,7 +27,6 @@ void SyncEngine::reset(const SyncConfig& config) {
   config_ = config;
   current_round_ = 0;
   queue_.clear();
-  due_.clear();
   beyond_horizon_ = 0;
   burst_source_ = nullptr;
   round_progress_ = nullptr;
@@ -122,31 +121,29 @@ SyncResult SyncEngine::run(const std::function<bool()>& done) {
     ++current_round_;
 
     if (!rushing) adversary_turn(current_round_);
-    // Drain the whole round: corrupt-origin sends, correct sends, then due
-    // timers, each class in FIFO order. The default path batches into the
-    // reusable scratch vector; round_drain visits the round in place (and
-    // re-expands burst descriptors at delivery time).
-    auto dispatch = [&](const EventQueue::Event& ev) {
-      if (ev.is_timer) {
-        // The sentinel check must come before fire_timer: the recovery
-        // sublayer's timer node indexes no actor or corrupt-set entry.
-        if (ev.timer_node == kRecoveryTimerNode) {
-          on_recovery_timeout(ev.timer_token);
-        } else {
-          fire_timer(ev.timer_node, ev.timer_token);
-        }
-      } else if (ev.is_burst) {
-        burst_source_->expand(ev.env, *this);
-      } else {
-        deliver(ev.env, ev.rec());
+    // Drain the whole round in place: corrupt-origin sends, correct sends,
+    // then due timers, each class in FIFO order; burst descriptors are
+    // re-expanded at delivery time.
+    auto dispatch = [&](const EventQueue::LaneEntry& ev) {
+      switch (ev.kind()) {
+        case EventQueue::LaneEntry::Kind::kMessage:
+          deliver(ev.env, ev.rec());
+          break;
+        case EventQueue::LaneEntry::Kind::kTimer:
+          // The sentinel check must come before fire_timer: the recovery
+          // sublayer's timer node indexes no actor or corrupt-set entry.
+          if (ev.timer_node() == kRecoveryTimerNode) {
+            on_recovery_timeout(ev.timer_token());
+          } else {
+            fire_timer(ev.timer_node(), ev.timer_token());
+          }
+          break;
+        case EventQueue::LaneEntry::Kind::kBurst:
+          burst_source_->expand(ev.env, *this);
+          break;
       }
     };
-    if (config_.round_drain) {
-      queue_.drain_due(static_cast<SimTime>(current_round_), dispatch);
-    } else {
-      queue_.pop_due(static_cast<SimTime>(current_round_), due_);
-      for (const EventQueue::Event& ev : due_) dispatch(ev);
-    }
+    queue_.drain_due(static_cast<SimTime>(current_round_), dispatch);
     for (NodeId id = 0; id < n_; ++id) {
       if (corrupt_[id]) continue;
       Context ctx(*this, id, now(), node_rng(id));

@@ -33,10 +33,6 @@ struct SyncConfig {
   /// the round clock even through silent rounds (e.g. a corrupt king says
   /// nothing): quiescence only stops the run after this many rounds.
   Round min_rounds = 0;
-  /// Scale mode: drain each round in place (EventQueue::drain_due) instead
-  /// of copying it into the per-round scratch vector. Delivery order is
-  /// identical; a million-node round avoids holding the round twice.
-  bool round_drain = false;
 };
 
 struct SyncResult {
@@ -62,15 +58,17 @@ class SyncEngine : public EngineBase {
   explicit SyncEngine(const SyncConfig& config);
 
   /// Re-initializes for a fresh run with construction semantics, keeping
-  /// the event ring / scratch / metrics storage (trial-arena reuse).
+  /// the event ring / chunk pool / metrics storage (trial-arena reuse).
   void reset(const SyncConfig& config);
 
   double now() const override {
     return static_cast<double>(current_round_);
   }
   Round current_round() const { return current_round_; }
-  /// Pending-event high-water mark since the last reset (memory accounting).
+  /// Pending-event high-water mark since the last reset.
   std::size_t queue_peak() const { return queue_.peak_size(); }
+  /// Bytes those pending events occupied at the mark (memory accounting).
+  std::size_t queue_peak_bytes() const { return queue_.peak_bytes(); }
 
   /// Runs rounds until `done` returns true, the network goes quiescent, or
   /// max_rounds elapse. `done` is evaluated at the end of every round.
@@ -113,7 +111,6 @@ class SyncEngine : public EngineBase {
   SyncConfig config_;
   Round current_round_ = 0;
   EventQueue queue_;
-  std::vector<EventQueue::Event> due_;  ///< per-round scratch, reused.
   /// Sends/timers culled because they could only fire after max_rounds.
   /// They are fully charged (metrics, adversary tap) but never queued;
   /// nonzero culls suppress the quiescence stop so round counts match an

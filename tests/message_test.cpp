@@ -111,7 +111,41 @@ TEST(MessageKindTest, NamesAreUniqueAndNonEmpty) {
 
 // ----- EventQueue ------------------------------------------------------------
 // Both storage modes must produce the same (at, pri, seq) delivery order;
-// every ordering test runs against the heap and the calendar buckets.
+// every ordering test runs against the heap and the calendar buckets, each
+// through its own consumer: pop() on the heap, drain_due() on the buckets.
+
+/// What a consumer sees of one delivered event, in either mode.
+struct Delivered {
+  SimTime at = 0;
+  bool is_timer = false;
+  NodeId src = 0;  ///< message source, or the timer's node.
+  std::uint64_t token = 0;
+};
+
+/// Consumes every event due at or before `until`, in delivery order.
+std::vector<Delivered> take_due(EventQueue& q, EventQueue::Mode mode,
+                                SimTime until) {
+  std::vector<Delivered> out;
+  if (mode == EventQueue::Mode::kHeap) {
+    while (!q.empty() && q.next_at() <= until) {
+      const EventQueue::Event ev = q.pop();
+      out.push_back({ev.at, ev.is_timer,
+                     ev.is_timer ? ev.timer_node : ev.env.src,
+                     ev.timer_token});
+    }
+    return out;
+  }
+  // One tick per call, so each visit knows its timestamp; ticks drained by
+  // an earlier call are already gone.
+  for (SimTime tick = 0; tick <= until; ++tick) {
+    q.drain_due(tick, [&](const EventQueue::LaneEntry& ev) {
+      const bool timer = ev.kind() == EventQueue::LaneEntry::Kind::kTimer;
+      out.push_back({tick, timer, timer ? ev.timer_node() : ev.env.src,
+                     timer ? ev.timer_token() : 0});
+    });
+  }
+  return out;
+}
 
 class EventQueueModes
     : public ::testing::TestWithParam<EventQueue::Mode> {};
@@ -127,9 +161,10 @@ TEST_P(EventQueueModes, FifoAmongEqualTimestamps) {
     env.src = i;
     q.push_message(1.0, 0, env);
   }
+  const std::vector<Delivered> due = take_due(q, GetParam(), 1.0);
+  ASSERT_EQ(due.size(), 16u);
   for (std::uint32_t i = 0; i < 16; ++i) {
-    const EventQueue::Event ev = q.pop();
-    EXPECT_EQ(ev.env.src, i);  // push order preserved at one timestamp
+    EXPECT_EQ(due[i].src, i);  // push order preserved at one timestamp
   }
   EXPECT_TRUE(q.empty());
 }
@@ -144,18 +179,20 @@ TEST_P(EventQueueModes, OrdersByTimeThenPriorityThenSeq) {
   env.src = 3;
   q.push_message(1.0, 0, env);
   q.push_timer(1.0, 2, 7, 42);       // timers after messages
-  EXPECT_DOUBLE_EQ(q.next_at(), 1.0);
 
-  EXPECT_EQ(q.pop().env.src, 3u);    // (1.0, pri 0)
-  EXPECT_EQ(q.pop().env.src, 2u);    // (1.0, pri 1)
-  const EventQueue::Event timer = q.pop();
-  EXPECT_TRUE(timer.is_timer);       // (1.0, pri 2)
-  EXPECT_EQ(timer.timer_node, 7u);
-  EXPECT_EQ(timer.timer_token, 42u);
-  EXPECT_EQ(q.pop().env.src, 1u);    // (2.0)
+  const std::vector<Delivered> due = take_due(q, GetParam(), 2.0);
+  ASSERT_EQ(due.size(), 4u);
+  EXPECT_EQ(due[0].src, 3u);         // (1.0, pri 0)
+  EXPECT_EQ(due[1].src, 2u);         // (1.0, pri 1)
+  EXPECT_TRUE(due[2].is_timer);      // (1.0, pri 2)
+  EXPECT_EQ(due[2].at, 1.0);
+  EXPECT_EQ(due[2].src, 7u);
+  EXPECT_EQ(due[2].token, 42u);
+  EXPECT_EQ(due[3].src, 1u);         // (2.0)
+  EXPECT_EQ(due[3].at, 2.0);
 }
 
-TEST_P(EventQueueModes, PopDueDrainsBatchInDeliveryOrder) {
+TEST_P(EventQueueModes, DueBatchDrainsInDeliveryOrder) {
   EventQueue q(GetParam());
   Envelope env;
   env.src = 5;
@@ -166,17 +203,20 @@ TEST_P(EventQueueModes, PopDueDrainsBatchInDeliveryOrder) {
   env.src = 0;
   q.push_message(1.0, 0, env);  // corrupt-origin class: delivered first
 
-  std::vector<EventQueue::Event> due;
-  EXPECT_EQ(q.pop_due(1.0, due), 3u);
+  std::vector<Delivered> due = take_due(q, GetParam(), 1.0);
   ASSERT_EQ(due.size(), 3u);
-  EXPECT_EQ(due[0].env.src, 0u);
-  EXPECT_EQ(due[1].env.src, 1u);
+  EXPECT_EQ(due[0].src, 0u);
+  EXPECT_EQ(due[1].src, 1u);
   EXPECT_TRUE(due[2].is_timer);
   EXPECT_EQ(q.size(), 1u);  // the 2.0 message stays queued
 
-  // Order survives interleaved push/pop_due cycles.
-  EXPECT_EQ(q.pop_due(2.0, due), 1u);
-  EXPECT_EQ(due[0].env.src, 5u);
+  // Order survives interleaved push/drain cycles.
+  env.src = 6;
+  q.push_message(2.0, 0, env);
+  due = take_due(q, GetParam(), 2.0);
+  ASSERT_EQ(due.size(), 2u);
+  EXPECT_EQ(due[0].src, 6u);
+  EXPECT_EQ(due[1].src, 5u);
   EXPECT_TRUE(q.empty());
 }
 
@@ -201,14 +241,15 @@ TEST_P(EventQueueModes, RandomizedOrderMatchesStableSort) {
     if (a.at != b.at) return a.at < b.at;
     return a.pri < b.pri;
   });
-  for (const Key& expected : keys) {
-    const EventQueue::Event ev = q.pop();
-    EXPECT_EQ(ev.env.src, expected.idx);
-    EXPECT_EQ(ev.at, expected.at);
+  const std::vector<Delivered> due = take_due(q, GetParam(), 7.0);
+  ASSERT_EQ(due.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(due[i].src, keys[i].idx);
+    EXPECT_EQ(due[i].at, keys[i].at);
   }
 }
 
-// ----- heap mode: compact entries over the payload slab ---------------------
+// ----- bucket mode: pooled chunk lanes drained in place ---------------------
 
 /// The reference model's record of one queued event.
 struct QueuedEvent {
@@ -217,6 +258,117 @@ struct QueuedEvent {
   std::uint64_t payload = 0;  ///< timer token, or env.msg.value.
   RecoveryTag rec;
 };
+
+/// Lanes several chunks long, drained in place while the visitor pushes
+/// messages 1-3 rounds ahead (the fault-delay shape) and timers, checked
+/// event by event against a stable sort of the pushes on (at, pri) — so an
+/// entry lost, repeated or misordered at a chunk boundary fails. Each
+/// tick's first visit also fans out more than a chunk into one lane, so a
+/// chunk handed back before its visit ends would be overwritten. Then the
+/// same trace on the cleared queue must reuse the chunks it already has.
+TEST(EventQueueBucketTest, LongLanesDrainInOrderWhileVisitorsPushAhead) {
+  constexpr SimTime kLastPushTick = 6;
+  EventQueue q(EventQueue::Mode::kBuckets);
+  std::size_t chunks_after_cold_run = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    q.clear();
+    Rng rng(20130722);
+    std::map<std::tuple<SimTime, std::uint32_t, std::uint64_t>, QueuedEvent>
+        model;
+    std::uint64_t seq = 0;
+    std::uint64_t next_payload = 0;
+    auto push = [&](SimTime at, std::uint32_t pri) {
+      QueuedEvent ev;
+      ev.payload = ++next_payload;
+      if (rng.below(4) == 0) {
+        ev.is_timer = true;
+        ev.timer_node = rng.below(4) == 0 ? kRecoveryTimerNode : rng.node(64);
+        q.push_timer(at, pri, ev.timer_node, ev.payload);
+      } else {
+        Envelope env;
+        env.msg.value = ev.payload;
+        if (rng.below(2) == 0) {
+          ev.rec = RecoveryTag{static_cast<std::uint32_t>(rng.next()),
+                               static_cast<std::uint16_t>(rng.below(65536))};
+        }
+        q.push_message(at, pri, env, ev.rec);
+      }
+      model.emplace(std::make_tuple(at, pri, seq++), ev);
+    };
+    // Every (tick, pri) lane of the first three ticks starts over three
+    // chunks long, so the boundaries are crossed many times.
+    for (SimTime tick = 1; tick <= 3; ++tick) {
+      for (std::size_t i = 0; i < 10 * EventQueue::kChunkEntries; ++i) {
+        push(tick, static_cast<std::uint32_t>(rng.below(3)));
+      }
+    }
+    std::size_t visited = 0;
+    for (SimTime tick = 1; !q.empty(); ++tick) {
+      bool first_visit = true;
+      q.drain_due(tick, [&](const EventQueue::LaneEntry& ev) {
+        if (::testing::Test::HasFatalFailure()) return;  // first mismatch only
+        ASSERT_FALSE(model.empty());
+        const auto it = model.begin();
+        const QueuedEvent& expected = it->second;
+        ASSERT_EQ(std::get<0>(it->first), tick) << "visit " << visited;
+        const bool timer = ev.kind() == EventQueue::LaneEntry::Kind::kTimer;
+        ASSERT_EQ(timer, expected.is_timer) << "visit " << visited;
+        if (timer) {
+          ASSERT_EQ(ev.timer_node(), expected.timer_node);
+          ASSERT_EQ(ev.timer_token(), expected.payload) << "visit " << visited;
+        } else {
+          ASSERT_EQ(ev.env.msg.value, expected.payload) << "visit " << visited;
+          ASSERT_EQ(ev.rec().slot1, expected.rec.slot1);
+          ASSERT_EQ(ev.rec().gen, expected.rec.gen);
+        }
+        model.erase(it);
+        ++visited;
+        if (tick > kLastPushTick) return;
+        if (first_visit) {
+          first_visit = false;
+          for (std::size_t k = 0; k <= EventQueue::kChunkEntries; ++k) {
+            push(tick + 1, 1);
+          }
+        }
+        for (std::uint64_t k = rng.below(3); k > 0; --k) {
+          push(tick + 1 + static_cast<SimTime>(rng.below(3)),
+               static_cast<std::uint32_t>(rng.below(3)));
+        }
+      });
+      ASSERT_EQ(q.size(), model.size()) << "tick " << tick;
+    }
+    EXPECT_TRUE(model.empty());
+    EXPECT_EQ(visited, seq);
+    EXPECT_GT(visited, 60 * EventQueue::kChunkEntries);
+    // Memory follows the events in flight — the pending ones plus the rest
+    // of the tick being visited, at most twice the peak — with one partly
+    // filled chunk per live lane (ticks t..t+3) on top.
+    EXPECT_LE(q.chunks_allocated(),
+              2 * q.peak_size() / EventQueue::kChunkEntries +
+                  4 * EventQueue::kNumPriorities);
+    if (pass == 0) {
+      chunks_after_cold_run = q.chunks_allocated();
+    } else {
+      EXPECT_EQ(q.chunks_allocated(), chunks_after_cold_run);  // warm reuse
+    }
+  }
+}
+
+/// A visitor may only push beyond the tick being drained: the drained tick
+/// is already behind the ring's base, so a push into it throws.
+TEST(EventQueueBucketTest, PushIntoTheDrainedTickThrows) {
+  EventQueue q(EventQueue::Mode::kBuckets);
+  Envelope env;
+  q.push_message(1.0, 0, env);
+  EXPECT_THROW(q.drain_due(1.0,
+                           [&](const EventQueue::LaneEntry&) {
+                             q.push_message(1.0, 1, env);
+                           }),
+               InvariantError);
+  EXPECT_THROW(q.push_message(0.5, 0, env), InvariantError);  // non-integral
+}
+
+// ----- heap mode: compact entries over the payload slab ---------------------
 
 /// Interleaved pushes and pops against an ordered map keyed (at, pri, seq):
 /// every pop must return the model's first entry with its payload intact —

@@ -633,7 +633,7 @@ TEST(HorizonTest, AsyncChurnUpAtMaxTimeIsExclusiveAtTheEdge) {
   EXPECT_EQ(engine.metrics().drops_of(FaultCause::kChurn), 1u);
 }
 
-// ---- round-drain event core (the scale path) --------------------------------
+// ---- bucket queue: the sync engine's in-place round drain ----------------
 
 Envelope tagged_env(NodeId src, NodeId dst, std::uint32_t tag) {
   Envelope env;
@@ -658,48 +658,24 @@ void fill_queue(EventQueue& q) {
   }
 }
 
-std::string event_signature(const EventQueue::Event& ev) {
-  std::string s = std::to_string(ev.at) + "/" + std::to_string(ev.pri) + "/" +
-                  std::to_string(ev.seq);
-  if (ev.is_timer) {
-    s += "/timer:" + std::to_string(ev.timer_token);
-  } else {
-    s += "/msg:" + std::to_string(ev.env.msg.phase);
-  }
-  return s;
-}
-
-/// drain_due must visit exactly the events pop_due returns, in the same
-/// (at, pri, seq) order — in both storage modes.
-void check_drain_matches_pop(EventQueue::Mode mode) {
-  EventQueue popped(mode);
-  EventQueue drained(mode);
-  fill_queue(popped);
-  fill_queue(drained);
-
-  for (SimTime until = 1; until <= 4; ++until) {
-    std::vector<EventQueue::Event> out;
-    popped.pop_due(until, out);
-    std::vector<std::string> pop_sigs, drain_sigs;
-    for (const EventQueue::Event& ev : out) {
-      pop_sigs.push_back(event_signature(ev));
-    }
-    drained.drain_due(until, [&](const EventQueue::Event& ev) {
-      drain_sigs.push_back(event_signature(ev));
-    });
-    EXPECT_EQ(drain_sigs, pop_sigs) << "tick " << until;
-    EXPECT_EQ(drained.size(), popped.size());
-  }
-  EXPECT_TRUE(popped.empty());
-  EXPECT_TRUE(drained.empty());
-}
-
-TEST(EventQueueTest, DrainDueMatchesPopDueInBucketMode) {
-  check_drain_matches_pop(EventQueue::Mode::kBuckets);
-}
-
-TEST(EventQueueTest, DrainDueMatchesPopDueInHeapMode) {
-  check_drain_matches_pop(EventQueue::Mode::kHeap);
+/// One drain_due call visits every due tick in order — each tick's lanes in
+/// priority order, each lane in push order — and leaves later ticks queued.
+TEST(EventQueueTest, DrainDueVisitsEveryDueTickInLaneOrder) {
+  EventQueue q(EventQueue::Mode::kBuckets);
+  fill_queue(q);
+  std::vector<std::uint64_t> tags;  // message phase tag, or timer token
+  q.drain_due(2, [&](const EventQueue::LaneEntry& ev) {
+    tags.push_back(ev.kind() == EventQueue::LaneEntry::Kind::kTimer
+                       ? ev.timer_token()
+                       : ev.env.msg.phase);
+  });
+  // Tick 1: pri (1+i)%3 -> lane 0 {i=2}, lane 1 {i=0, timer i=3},
+  // lane 2 {i=1, i=4}; then tick 2: lane 0 {i=1, i=4}, lane 1 {i=2},
+  // lane 2 {i=0, timer i=3}.
+  const std::vector<std::uint64_t> expected = {12, 10, 103, 11, 14,
+                                               21, 24, 22, 20, 203};
+  EXPECT_EQ(tags, expected);
+  EXPECT_EQ(q.size(), 10u);
 }
 
 TEST(EventQueueTest, PeakSizeTracksHighWater) {
@@ -707,58 +683,14 @@ TEST(EventQueueTest, PeakSizeTracksHighWater) {
   EXPECT_EQ(q.peak_size(), 0u);
   fill_queue(q);  // 20 events
   EXPECT_EQ(q.peak_size(), 20u);
-  std::vector<EventQueue::Event> out;
-  q.pop_due(4, out);
+  EXPECT_EQ(q.peak_bytes(), 20u * sizeof(EventQueue::LaneEntry));
+  std::size_t visited = 0;
+  q.drain_due(4, [&](const EventQueue::LaneEntry&) { ++visited; });
+  EXPECT_EQ(visited, 20u);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.peak_size(), 20u);  // high water survives the drain...
   q.clear();
   EXPECT_EQ(q.peak_size(), 0u);  // ...and resets with the queue.
-}
-
-/// The engine-level contract: a run under round_drain is indistinguishable
-/// from the pop_due path — same rounds, same deliveries, same bit account.
-TEST(SyncEngineTest, RoundDrainRunMatchesPopDuePath) {
-  SyncResult results[2];
-  std::uint64_t bits[2];
-  std::vector<double> times[2];
-  for (int drain = 0; drain < 2; ++drain) {
-    SyncConfig cfg;
-    cfg.n = 2;
-    cfg.max_rounds = 10;
-    cfg.round_drain = drain == 1;
-    SyncEngine engine(cfg);
-    const Wire wire = test_wire();
-    engine.set_wire(&wire);
-    auto* a = new PingActor(1, true);
-    auto* b = new PingActor(0, true);
-    engine.set_actor(0, std::unique_ptr<Actor>(a));
-    engine.set_actor(1, std::unique_ptr<Actor>(b));
-    results[drain] = engine.run([] { return false; });
-    bits[drain] = engine.metrics().total_bits();
-    times[drain] = a->delivery_times;
-  }
-  EXPECT_EQ(results[0].rounds, results[1].rounds);
-  EXPECT_EQ(results[0].quiescent, results[1].quiescent);
-  EXPECT_EQ(bits[0], bits[1]);
-  EXPECT_EQ(times[0], times[1]);
-}
-
-TEST(HorizonTest, SyncSendDuringFinalRoundIsCulledUnderRoundDrain) {
-  SyncConfig cfg;
-  cfg.n = 2;
-  cfg.max_rounds = 3;
-  cfg.min_rounds = 3;
-  cfg.round_drain = true;
-  SyncEngine engine(cfg);
-  const Wire wire = test_wire();
-  engine.set_wire(&wire);
-  engine.set_actor(0, std::make_unique<RoundSenderActor>(3));
-  auto* sink = new IdleActor();
-  engine.set_actor(1, std::unique_ptr<Actor>(sink));
-  const auto result = engine.run([] { return false; });
-  EXPECT_EQ(sink->received.size(), 0u);
-  EXPECT_EQ(engine.metrics().total_messages(), 1u);  // charged, never queued
-  EXPECT_FALSE(result.quiescent);
 }
 
 }  // namespace

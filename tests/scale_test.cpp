@@ -1,10 +1,10 @@
 // The scale mode's equivalence contract (aer/soa.h, docs/perf.md):
 // the structure-of-arrays runner must be an observationally exact drop-in
 // for the pointer-path runners — bit-identical Aggregate fingerprints
-// across timing models, attacks and fault presets — with each of its two
-// accelerations (round-drain event core, Fw1 burst descriptors) separately
-// removable without changing results. The memory account it adds must be
-// deterministic: a warm arena reports the same bytes as a cold one.
+// across timing models, attacks and fault presets — with its Fw1 burst
+// descriptors removable without changing results. The memory account it
+// adds must be deterministic: a warm arena reports the same bytes as a
+// cold one.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -152,22 +152,6 @@ TEST(ScaleEquivalenceTest, BurstOnAndOffAreBitIdentical) {
     EXPECT_EQ(with_bursts.fingerprint(), without_bursts.fingerprint())
         << aer::model_name(model);
   }
-}
-
-// Likewise the bucketed round-drain: linear-scan dispatch vs heap pops is
-// invisible to the protocol.
-TEST(ScaleEquivalenceTest, RoundDrainOnAndOffAreBitIdentical) {
-  const exp::GridPoint point =
-      grid_point(aer::Model::kSyncRushing, "none", "", 0);
-  exp::ScaleArena drain_arena, pop_arena;
-  exp::ScaleTrialOptions drain, pop;
-  drain.round_drain = true;
-  pop.round_drain = false;
-  const exp::Aggregate drained =
-      exp::aggregate_outcomes(soa_outcomes(point, 2, drain_arena, drain));
-  const exp::Aggregate popped =
-      exp::aggregate_outcomes(soa_outcomes(point, 2, pop_arena, pop));
-  EXPECT_EQ(drained.fingerprint(), popped.fingerprint());
 }
 
 // MemBudget's determinism contract: charges derive from logical sizes and
