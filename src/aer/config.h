@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "aer/relay_state.h"
 #include "net/fault.h"
 #include "net/message.h"
 #include "net/recovery.h"
@@ -156,6 +157,9 @@ class AerShared {
   /// Dense memoized I / H / J (lazily filled; a trial is single-threaded,
   /// so the mutation is invisible to callers — see sampler/tables.h).
   mutable sampler::SharedTables tables;
+  /// Serve-time scratch of every node's RelayState (same single-threaded
+  /// rule as `tables`; kept across reset() so warm trials allocate nothing).
+  mutable RelayScratch relay_scratch;
   StringTable table;
   StringId gstring = kNoString;
 

@@ -13,16 +13,7 @@ namespace fba::aer {
 
 AerNode::AerNode(const AerShared* shared, NodeId self,
                  StringId initial_candidate)
-    : shared_(shared),
-      pending_pulls_(
-          support::PoolAllocator<std::pair<const std::uint64_t, PollLabel>>(
-              &pool_)),
-      fw1_tallies_(support::PoolAllocator<
-                   std::pair<const std::uint64_t, RetainedMap<NodeId, Fw1Tally>>>(
-          &pool_)),
-      responder_(
-          support::PoolAllocator<std::pair<const std::uint64_t, ResponderState>>(
-              &pool_)) {
+    : shared_(shared) {
   reset(shared, self, initial_candidate);
 }
 
@@ -41,16 +32,7 @@ void AerNode::reset(const AerShared* shared, NodeId self,
   in_list_.clear();
   my_pulls_.clear();
   answer_counts_.clear();
-  forwarded_.clear();
-  // The retained maps are *reconstructed*, not cleared: a cleared
-  // unordered_map keeps its grown bucket array, which would give trial k+1
-  // a different bucket-growth (and thus iteration) history than a freshly
-  // built node — and serve_retained's send order must be bit-identical
-  // whether or not this node came out of an arena. Move-assigning a fresh
-  // map returns the old nodes to the pool's free lists.
-  pending_pulls_ = decltype(pending_pulls_)(pending_pulls_.get_allocator());
-  fw1_tallies_ = decltype(fw1_tallies_)(fw1_tallies_.get_allocator());
-  responder_ = decltype(responder_)(responder_.get_allocator());
+  relay_.clear();
   deferred_.clear();
   deferred_peak_ = 0;
   counted_arena_.clear();
@@ -91,12 +73,12 @@ std::optional<AerNode::PullStatus> AerNode::pull_status(StringId s) const {
 AerNode::ResponderStatus AerNode::responder_status(NodeId x,
                                                    StringId s) const {
   ResponderStatus status;
-  const auto it = responder_.find(pack_xs(x, s));
-  if (it == responder_.end()) return status;
+  const RelayState::Responder* st = relay_.find_responder(x, s);
+  if (st == nullptr) return status;
   status.known = true;
-  status.polled = it->second.polled;
-  status.answered = it->second.answered;
-  status.slots = it->second.slots;
+  status.polled = st->polled;
+  status.answered = st->answered;
+  status.slots = st->slots;
   return status;
 }
 
@@ -220,45 +202,22 @@ void AerNode::decide(sim::Context& ctx, StringId s) {
     if (str == current_) emit_answer(ctx, x, str);
   }
   deferred_.clear();
-  serve_retained(ctx);
-}
-
-void AerNode::serve_retained(sim::Context& ctx) {
-  // A node that just learned gstring starts serving the requests for it that
-  // arrived while it still believed its own candidate (Algorithm 3's
-  // "s_w was changed accordingly", applied to all three relay roles). This
-  // is what lets nodes whose quorums contain initially-unknowledgeable
-  // members still gather their majorities.
-  for (const auto& [key, r] : pending_pulls_) {
-    const StringId s = static_cast<StringId>(key & 0xffffffffu);
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    if (s == current_) forward_pull(ctx, x, s, r);
-  }
-  pending_pulls_.clear();
-
-  for (auto& [key, per_w] : fw1_tallies_) {
-    const StringId s = static_cast<StringId>(key & 0xffffffffu);
-    if (s != current_) continue;
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    const sampler::QuorumView h_x = shared_->pull_quorum(s, x);
-    for (auto& [w, tally] : per_w) {
-      if (!tally.fired && tally.slots * 2 > h_x.size()) {
-        tally.fired = true;
-        ctx.send(w, fw2_msg(x, s, tally.r));
-      }
-    }
-  }
-
-  const sampler::QuorumView h_self = shared_->pull_quorum(current_, self_);
-  for (auto& [key, st] : responder_) {
-    const StringId s = static_cast<StringId>(key & 0xffffffffu);
-    if (s != current_) continue;
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    if (!st.answered && st.polled && st.slots * 2 > h_self.size()) {
-      st.answered = true;
-      emit_answer(ctx, x, s);
-    }
-  }
+  // Serve the requests for s whose evidence accumulated while we still
+  // believed our own candidate (Algorithm 3's "s_w was changed
+  // accordingly", applied to all three relay roles). This is what lets
+  // nodes whose quorums contain initially-unknowledgeable members still
+  // gather their majorities.
+  relay_.serve(
+      current_, static_cast<std::uint32_t>(
+                    shared_->pull_quorum(current_, self_).size()),
+      shared_->relay_scratch,
+      [&](NodeId x, StringId str, PollLabel r) {
+        forward_pull(ctx, x, str, r);
+      },
+      [&](NodeId x, StringId str, NodeId w, PollLabel r) {
+        ctx.send(w, fw2_msg(x, str, r));
+      },
+      [&](NodeId x, StringId str) { emit_answer(ctx, x, str); });
 }
 
 // ----- pull phase: forwarder, first hop (Algorithm 2) -----------------------
@@ -269,7 +228,7 @@ void AerNode::handle_pull(sim::Context& ctx, NodeId from, const sim::Message& m)
   if (m.s != current_) {
     // Not (yet) our belief. Retain it: if we later decide on s, we serve it
     // (post-decision answering, Algorithm 3). One slot per (x, s).
-    if (!has_decided_) pending_pulls_.emplace(pack_xs(from, m.s), m.r);
+    if (!has_decided_) relay_.retain_pull(from, m.s, m.r);
     return;
   }
   forward_pull(ctx, from, m.s, m.r);
@@ -278,7 +237,7 @@ void AerNode::handle_pull(sim::Context& ctx, NodeId from, const sim::Message& m)
 void AerNode::forward_pull(sim::Context& ctx, NodeId x, StringId s,
                            PollLabel r) {
   // Flooding guard ("keep track of senders"): one forward per (x, s).
-  if (!forwarded_.insert(pack_xs(x, s))) return;
+  if (!relay_.mark_forwarded(x, s)) return;
   const sampler::QuorumView poll_view = shared_->poll_list(x, r);
   for (std::uint32_t i = 0; i < poll_view.distinct_count; ++i) {
     const NodeId w = poll_view.distinct[i];
@@ -302,11 +261,9 @@ void AerNode::handle_fw1(sim::Context& ctx, NodeId from, const sim::Message& m) 
 
   // Vouching is tallied even when s is not (yet) our belief; the Fw2 is only
   // emitted while s = s_this (now or after deciding on s).
-  const auto outer = fw1_tallies_.try_emplace(
-      pack_xs(m.a, m.s), fw1_tallies_.get_allocator());
-  const auto inner = outer.first->second.try_emplace(m.b);
-  Fw1Tally& tally = inner.first->second;
-  if (inner.second) tally.counted_off = new_counted_span();
+  bool created = false;
+  RelayState::Fw1Tally& tally = relay_.fw1(m.a, m.s, m.b, created);
+  if (created) tally.counted_off = new_counted_span();
   NodeId* counted = counted_at(tally.counted_off);
   if (tally.fired || already_counted(counted, tally.counted, from)) return;
   if (tally.counted == 0) tally.r = m.r;
@@ -328,9 +285,9 @@ void AerNode::handle_fw2(sim::Context& ctx, NodeId from, const sim::Message& m) 
 
   // Evidence is tallied regardless of current belief; answers require
   // s = s_this (initially our candidate, after deciding the decided value).
-  const auto emplaced = responder_.try_emplace(pack_xs(m.a, m.s));
-  ResponderState& st = emplaced.first->second;
-  if (emplaced.second) st.counted_off = new_counted_span();
+  bool created = false;
+  RelayState::Responder& st = relay_.responder(m.a, m.s, created);
+  if (created) st.counted_off = new_counted_span();
   NodeId* counted = counted_at(st.counted_off);
   if (st.answered || already_counted(counted, st.counted, from)) return;
   counted[st.counted++] = from;
@@ -343,9 +300,9 @@ void AerNode::handle_fw2(sim::Context& ctx, NodeId from, const sim::Message& m) 
 
 void AerNode::handle_poll(sim::Context& ctx, NodeId from, const sim::Message& m) {
   if (!shared_->poll_list(from, m.r).contains(self_)) return;
-  const auto emplaced = responder_.try_emplace(pack_xs(from, m.s));
-  ResponderState& st = emplaced.first->second;
-  if (emplaced.second) st.counted_off = new_counted_span();
+  bool created = false;
+  RelayState::Responder& st = relay_.responder(from, m.s, created);
+  if (created) st.counted_off = new_counted_span();
   if (st.polled) return;
   st.polled = true;
   // Necessary in the asynchronous case: the Fw2 majority may have formed

@@ -24,26 +24,23 @@
 //     bump arena (a tally credits at most d distinct members).
 //   - quorum membership/multiplicity checks read the dense sampler tables
 //     through AerShared (no hashing, no allocation).
-//   - the three *retained* maps (pending pulls, Fw1 tallies, responder
-//     state) stay std::unordered_map: serve_retained() iterates them to
-//     emit messages, and simulation behavior depends on send order — their
-//     libstdc++ iteration order is part of the pinned golden-fingerprint
-//     behavior. They draw nodes/buckets from a per-node Pool, so warm
-//     arena-reused trials still allocate nothing, and reset() reconstructs
-//     them so bucket-growth history (and thus iteration order) is identical
-//     to a freshly built node's.
+//   - the relay roles (flooding guard, pending pulls, Fw1 tallies,
+//     responder state) live in one RelayState (aer/relay_state.h):
+//     arrival-ordered vectors behind one FlatMap64 index. Post-decision
+//     service sends in an order that is pinned behavior (the golden
+//     fingerprints); RelayState::serve reproduces it by replaying each
+//     role's arrival log.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "aer/config.h"
 #include "aer/messages.h"
+#include "aer/relay_state.h"
 #include "net/node.h"
 #include "support/flat_map.h"
-#include "support/pool.h"
 
 namespace fba::aer {
 
@@ -52,8 +49,8 @@ class AerNode final : public sim::Actor {
   AerNode(const AerShared* shared, NodeId self, StringId initial_candidate);
 
   /// Re-initializes this node for a fresh trial, keeping every container's
-  /// capacity and the retained maps' memory pool (trial-arena reuse). A
-  /// reset node behaves bit-identically to a freshly constructed one.
+  /// capacity (trial-arena reuse). A reset node behaves bit-identically to a
+  /// freshly constructed one.
   void reset(const AerShared* shared, NodeId self, StringId initial_candidate);
 
   void on_start(sim::Context& ctx) override;
@@ -107,13 +104,6 @@ class AerNode final : public sim::Actor {
   void decide(sim::Context& ctx, StringId s);
   bool over_budget(StringId s) const;
   void forward_pull(sim::Context& ctx, NodeId x, StringId s, PollLabel r);
-  /// Post-decision service: requests for the decided string whose evidence
-  /// accumulated while we still believed something else.
-  void serve_retained(sim::Context& ctx);
-
-  static std::uint64_t pack_xs(NodeId x, StringId s) {
-    return (static_cast<std::uint64_t>(x) << 32) | s;
-  }
 
   // -- credited-sender spans: fixed d-capacity slices of counted_arena_ --
   NodeId* counted_at(std::uint32_t off) { return counted_arena_.data() + off; }
@@ -131,10 +121,6 @@ class AerNode final : public sim::Actor {
   StringId current_ = kNoString;  ///< s_this: initial candidate until decision.
   bool has_decided_ = false;
   StringId decided_ = kNoString;
-
-  /// Memory pool behind the three retained maps. Declared before them so it
-  /// outlives their destructors.
-  support::Pool pool_;
 
   // -- push-phase state --
   struct PushTally {
@@ -156,41 +142,8 @@ class AerNode final : public sim::Actor {
   support::FlatMap64<MyPull> my_pulls_;  ///< keyed by StringId
   support::FlatMap64<std::uint32_t> answer_counts_;  ///< Counts, by StringId
 
-  // -- forwarder state (Algorithm 2, first hop) --
-  /// Flooding guard: forward at most one request per (x, s).
-  support::FlatSet64 forwarded_;
-  /// Pull requests for strings we do not (yet) believe in. If we later
-  /// decide on that string, we serve them — the post-decision answering of
-  /// Algorithm 3 applied to the forwarding role. Keyed by (x, s).
-  /// ORDER-CRITICAL: iterated by serve_retained() to send messages.
-  template <typename K, typename V>
-  using RetainedMap =
-      std::unordered_map<K, V, std::hash<K>, std::equal_to<K>,
-                         support::PoolAllocator<std::pair<const K, V>>>;
-  RetainedMap<std::uint64_t, PollLabel> pending_pulls_;
-
-  // -- relay state (Algorithm 2, second hop): z in H(s, w) --
-  struct Fw1Tally {
-    PollLabel r = 0;            ///< label from the vouched request.
-    std::uint32_t slots = 0;    ///< slots of H(s, x) vouching.
-    std::uint32_t counted = 0;  ///< distinct vouching y in H(s, x).
-    std::uint32_t counted_off = 0;
-    bool fired = false;         ///< Fw2 already sent ("forward only once").
-  };
-  /// Keyed by (x, s) then by w: z may serve several poll-list members.
-  /// ORDER-CRITICAL (iterated by serve_retained, outer and inner).
-  RetainedMap<std::uint64_t, RetainedMap<NodeId, Fw1Tally>> fw1_tallies_;
-
-  // -- responder state (Algorithm 3): this in J(x, r) --
-  struct ResponderState {
-    std::uint32_t slots = 0;    ///< slots of H(s, this) vouching.
-    std::uint32_t counted = 0;  ///< distinct vouching z in H(s, this).
-    std::uint32_t counted_off = 0;
-    bool polled = false;        ///< Poll(s, r) received from x.
-    bool answered = false;      ///< Answer sent ("forward once").
-  };
-  /// Keyed by (x, s). ORDER-CRITICAL (iterated by serve_retained).
-  RetainedMap<std::uint64_t, ResponderState> responder_;
+  /// Forwarder, relay and responder state (Algorithms 2-3).
+  RelayState relay_;
 
   std::vector<std::pair<NodeId, StringId>> deferred_;  ///< over-budget answers
   std::size_t deferred_peak_ = 0;

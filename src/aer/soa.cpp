@@ -32,15 +32,8 @@ void SoaAerState::reset(const AerShared* shared,
   my_pulls_.clear();
   answer_counts_.clear();
 
-  if (forwarded_.size() < n_) forwarded_.resize(n_);
-  for (std::size_t id = 0; id < n_; ++id) forwarded_[id].clear();
-
-  // The retained maps are reconstructed, not cleared, for the same reason
-  // AerNode::reset reconstructs them: iteration order must match a freshly
-  // built node's (bucket-growth history included).
-  pending_pulls_.assign(n_, {});
-  fw1_tallies_.assign(n_, {});
-  responder_.assign(n_, {});
+  if (relay_.size() < n_) relay_.resize(n_);
+  for (std::size_t id = 0; id < n_; ++id) relay_[id].clear();
   deferred_.assign(n_, {});
 
   counted_arena_.clear();
@@ -182,41 +175,17 @@ void SoaAerState::decide(sim::Context& ctx, NodeId self, StringId s) {
     if (str == current_[self]) emit_answer(ctx, self, x, str);
   }
   dq.clear();
-  serve_retained(ctx, self);
-}
-
-void SoaAerState::serve_retained(sim::Context& ctx, NodeId self) {
-  for (const auto& [key, r] : pending_pulls_[self]) {
-    const StringId s = static_cast<StringId>(key & 0xffffffffu);
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    if (s == current_[self]) forward_pull(ctx, self, x, s, r);
-  }
-  pending_pulls_[self].clear();
-
-  for (auto& [key, per_w] : fw1_tallies_[self]) {
-    const StringId s = static_cast<StringId>(key & 0xffffffffu);
-    if (s != current_[self]) continue;
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    const sampler::QuorumView h_x = shared_->pull_quorum(s, x);
-    for (auto& [w, tally] : per_w) {
-      if (!tally.fired && tally.slots * 2 > h_x.size()) {
-        tally.fired = true;
-        ctx.send(w, fw2_msg(x, s, tally.r));
-      }
-    }
-  }
-
-  const sampler::QuorumView h_self =
-      shared_->pull_quorum(current_[self], self);
-  for (auto& [key, st] : responder_[self]) {
-    const StringId s = static_cast<StringId>(key & 0xffffffffu);
-    if (s != current_[self]) continue;
-    const NodeId x = static_cast<NodeId>(key >> 32);
-    if (!st.answered && st.polled && st.slots * 2 > h_self.size()) {
-      st.answered = true;
-      emit_answer(ctx, self, x, s);
-    }
-  }
+  relay_[self].serve(
+      current_[self], static_cast<std::uint32_t>(
+                          shared_->pull_quorum(current_[self], self).size()),
+      shared_->relay_scratch,
+      [&](NodeId x, StringId str, PollLabel r) {
+        forward_pull(ctx, self, x, str, r);
+      },
+      [&](NodeId x, StringId str, NodeId w, PollLabel r) {
+        ctx.send(w, fw2_msg(x, str, r));
+      },
+      [&](NodeId x, StringId str) { emit_answer(ctx, self, x, str); });
 }
 
 // ----- pull phase: forwarder, first hop (Algorithm 2) -----------------------
@@ -225,9 +194,7 @@ void SoaAerState::handle_pull(sim::Context& ctx, NodeId self, NodeId from,
                               const sim::Message& m) {
   if (!shared_->pull_quorum(m.s, from).contains(self)) return;
   if (m.s != current_[self]) {
-    if (!has_decided_[self]) {
-      pending_pulls_[self].emplace(pack_xs(from, m.s), m.r);
-    }
+    if (!has_decided_[self]) relay_[self].retain_pull(from, m.s, m.r);
     return;
   }
   forward_pull(ctx, self, from, m.s, m.r);
@@ -235,7 +202,7 @@ void SoaAerState::handle_pull(sim::Context& ctx, NodeId self, NodeId from,
 
 void SoaAerState::forward_pull(sim::Context& ctx, NodeId self, NodeId x,
                                StringId s, PollLabel r) {
-  if (!forwarded_[self].insert(pack_xs(x, s))) return;
+  if (!relay_[self].mark_forwarded(x, s)) return;
   const sampler::QuorumView poll_view = shared_->poll_list(x, r);
   if (burst_engine_ != nullptr) {
     // Burst path: charge every expanded send now — send_from charges before
@@ -305,10 +272,9 @@ void SoaAerState::handle_fw1(sim::Context& ctx, NodeId self, NodeId from,
   if (mult == 0) return;  // y in H(s, x)
   if (!shared_->poll_list(m.a, m.r).contains(m.b)) return;  // w in J(x,r)
 
-  const auto outer = fw1_tallies_[self].try_emplace(pack_xs(m.a, m.s));
-  const auto inner = outer.first->second.try_emplace(m.b);
-  Fw1Tally& tally = inner.first->second;
-  if (inner.second) tally.counted_off = new_counted_span();
+  bool created = false;
+  RelayState::Fw1Tally& tally = relay_[self].fw1(m.a, m.s, m.b, created);
+  if (created) tally.counted_off = new_counted_span();
   NodeId* counted = counted_at(tally.counted_off);
   if (tally.fired || already_counted(counted, tally.counted, from)) return;
   if (tally.counted == 0) tally.r = m.r;
@@ -329,9 +295,9 @@ void SoaAerState::handle_fw2(sim::Context& ctx, NodeId self, NodeId from,
   const std::size_t mult = h_self.multiplicity(from);
   if (mult == 0) return;  // z in H(s, this)
 
-  const auto emplaced = responder_[self].try_emplace(pack_xs(m.a, m.s));
-  ResponderState& st = emplaced.first->second;
-  if (emplaced.second) st.counted_off = new_counted_span();
+  bool created = false;
+  RelayState::Responder& st = relay_[self].responder(m.a, m.s, created);
+  if (created) st.counted_off = new_counted_span();
   NodeId* counted = counted_at(st.counted_off);
   if (st.answered || already_counted(counted, st.counted, from)) return;
   counted[st.counted++] = from;
@@ -345,9 +311,9 @@ void SoaAerState::handle_fw2(sim::Context& ctx, NodeId self, NodeId from,
 void SoaAerState::handle_poll(sim::Context& ctx, NodeId self, NodeId from,
                               const sim::Message& m) {
   if (!shared_->poll_list(from, m.r).contains(self)) return;
-  const auto emplaced = responder_[self].try_emplace(pack_xs(from, m.s));
-  ResponderState& st = emplaced.first->second;
-  if (emplaced.second) st.counted_off = new_counted_span();
+  bool created = false;
+  RelayState::Responder& st = relay_[self].responder(from, m.s, created);
+  if (created) st.counted_off = new_counted_span();
   if (st.polled) return;
   st.polled = true;
   const sampler::QuorumView h_self = shared_->pull_quorum(m.s, self);
@@ -374,26 +340,6 @@ void SoaAerState::emit_answer(sim::Context& ctx, NodeId self, NodeId x,
 
 // ----- memory accounting -----------------------------------------------------
 
-namespace {
-
-/// Deterministic size model for a libstdc++ unordered_map: one allocated
-/// node per entry (next pointer + value; integral keys cache no hash) plus
-/// the bucket array. Both entry count and bucket count are pure functions
-/// of the insertion history, so warm trials report identical bytes.
-template <typename K, typename V>
-std::uint64_t umap_bytes(const std::unordered_map<K, V>& m) {
-  return static_cast<std::uint64_t>(m.size()) *
-             (sizeof(void*) + sizeof(std::pair<const K, V>)) +
-         static_cast<std::uint64_t>(m.bucket_count()) * sizeof(void*);
-}
-
-std::uint64_t flat_bytes(std::size_t entries, std::size_t value_size) {
-  return support::flat_table_slots(entries) *
-         (sizeof(std::uint64_t) + value_size);
-}
-
-}  // namespace
-
 void SoaAerState::charge_mem(support::MemBudget& mem) const {
   mem.charge_vector(initial_);
   mem.charge_vector(current_);
@@ -404,27 +350,19 @@ void SoaAerState::charge_mem(support::MemBudget& mem) const {
   mem.charge_vector(counted_arena_);
   mem.charge_vector(targets_scratch_);
 
-  mem.charge(flat_bytes(push_tallies_.size(), sizeof(PushTally)));
-  mem.charge(flat_bytes(in_list_.size(), 1));
-  mem.charge(flat_bytes(my_pulls_.size(), sizeof(MyPull)));
-  mem.charge(flat_bytes(answer_counts_.size(), sizeof(std::uint32_t)));
+  mem.charge(
+      support::flat_table_bytes(push_tallies_.size(), sizeof(PushTally)));
+  mem.charge(support::flat_table_bytes(in_list_.size(), 1));
+  mem.charge(support::flat_table_bytes(my_pulls_.size(), sizeof(MyPull)));
+  mem.charge(support::flat_table_bytes(answer_counts_.size(),
+                                       sizeof(std::uint32_t)));
 
   // Per-node container headers (charged at n_, not at the vectors' possibly
   // larger warm capacity, so cold and warm runs report identical bytes).
   mem.charge(static_cast<std::uint64_t>(n_) *
-             (sizeof(support::FlatSet64) + sizeof(pending_pulls_[0]) +
-              sizeof(fw1_tallies_[0]) + sizeof(responder_[0]) +
-              sizeof(deferred_[0])));
+             (sizeof(RelayState) + sizeof(deferred_[0])));
   for (std::size_t id = 0; id < n_; ++id) {
-    mem.charge(flat_bytes(forwarded_[id].size(), 1));
-    mem.charge(umap_bytes(pending_pulls_[id]));
-    mem.charge(umap_bytes(responder_[id]));
-    const auto& outer = fw1_tallies_[id];
-    mem.charge(umap_bytes(outer));
-    for (const auto& [key, inner] : outer) {
-      (void)key;
-      mem.charge(umap_bytes(inner));
-    }
+    relay_[id].charge_mem(mem);
     mem.charge(static_cast<std::uint64_t>(deferred_peak_[id]) *
                sizeof(std::pair<NodeId, StringId>));
   }
@@ -475,12 +413,12 @@ void charge_trial_mem(support::MemBudget& mem, const AerWorld& world,
   mem.charge(shared.tables.pull.rows_built() * quorum_row);
   mem.charge(shared.tables.poll.rows_built() *
              (quorum_row + 4 * sizeof(NodeId)));
-  mem.charge(flat_bytes(shared.tables.push.rows_built(),
-                        sizeof(std::uint32_t)));
-  mem.charge(flat_bytes(shared.tables.pull.rows_built(),
-                        sizeof(std::uint32_t)));
-  mem.charge(flat_bytes(shared.tables.poll.rows_built(),
-                        sizeof(std::uint32_t)));
+  mem.charge(support::flat_table_bytes(shared.tables.push.rows_built(),
+                                       sizeof(std::uint32_t)));
+  mem.charge(support::flat_table_bytes(shared.tables.pull.rows_built(),
+                                       sizeof(std::uint32_t)));
+  mem.charge(support::flat_table_bytes(shared.tables.poll.rows_built(),
+                                       sizeof(std::uint32_t)));
   const std::uint64_t slab_bytes =
       64 + d * sizeof(FeistelPermutation);
   mem.charge(shared.tables.push.slab_count() * slab_bytes);

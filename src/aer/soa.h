@@ -1,10 +1,10 @@
 // Structure-of-arrays AER state: the million-node scale path.
 //
 // AerNode keeps each participant's protocol state in its own object — per
-// node, a Pool, six hash containers and a handful of vectors. At
-// n = 10^5..10^6 nodes per trial, those per-object fixed costs (allocator
-// pools, container headers, minimum table capacities) dominate memory and
-// thrash the cache: the hot path walks a million scattered objects.
+// node, five flat hash tables (one inside its RelayState) and a handful of
+// vectors. At n = 10^5..10^6 nodes per trial, those per-object fixed costs
+// (container headers, minimum table capacities) dominate memory and thrash
+// the cache: the hot path walks a million scattered objects.
 //
 // SoaAerState holds the SAME protocol state for all nodes at once, one
 // dense array (or shared open-addressed table) per field:
@@ -18,11 +18,9 @@
 //     minimum-capacity tables;
 //   - credited-sender spans come from one shared bump arena (d entries per
 //     tally, same layout as AerNode's per-node arena);
-//   - the three ORDER-CRITICAL retained maps (pending pulls, Fw1 tallies,
-//     responder state) stay per-node std::unordered_map: serve_retained()
-//     iterates them to emit messages and the send order must match the
-//     pointer path bit for bit (libstdc++ iteration order depends only on
-//     the insertion/bucket-growth history, which is identical).
+//   - the relay roles stay per node: one RelayState each (aer/relay_state.h),
+//     the same store AerNode uses, so both actors serve retained requests
+//     through the one RelayState::serve and its pinned send order.
 //
 // One SoaAerState object is also the single sim::Actor registered for every
 // correct node (handlers key off ctx.self()), and the sim::BurstSource that
@@ -40,10 +38,10 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "aer/protocol.h"
+#include "aer/relay_state.h"
 #include "net/async_engine.h"
 #include "net/sync_engine.h"
 #include "support/flat_map.h"
@@ -117,13 +115,9 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
   bool over_budget(NodeId self, StringId s) const;
   void forward_pull(sim::Context& ctx, NodeId self, NodeId x, StringId s,
                     PollLabel r);
-  void serve_retained(sim::Context& ctx, NodeId self);
 
   static std::uint64_t pack_ns(NodeId node, StringId s) {
     return (static_cast<std::uint64_t>(node) << 32) | s;
-  }
-  static std::uint64_t pack_xs(NodeId x, StringId s) {
-    return (static_cast<std::uint64_t>(x) << 32) | s;
   }
 
   // -- credited-sender spans: fixed d-capacity slices of one shared arena --
@@ -164,30 +158,7 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
   mutable support::FlatMap64<std::uint32_t> answer_counts_;
 
   // -- per-node containers whose behavior depends on per-node history -------
-  /// Flooding guard, keyed (x, s); lookup-only, so FlatSet64 is safe.
-  std::vector<support::FlatSet64> forwarded_;
-
-  struct Fw1Tally {
-    PollLabel r = 0;
-    std::uint32_t slots = 0;
-    std::uint32_t counted = 0;
-    std::uint32_t counted_off = 0;
-    bool fired = false;
-  };
-  struct ResponderState {
-    std::uint32_t slots = 0;
-    std::uint32_t counted = 0;
-    std::uint32_t counted_off = 0;
-    bool polled = false;
-    bool answered = false;
-  };
-  /// ORDER-CRITICAL retained maps (see aer/node.h): plain unordered_map,
-  /// reconstructed per reset so iteration order matches a fresh AerNode's.
-  std::vector<std::unordered_map<std::uint64_t, PollLabel>> pending_pulls_;
-  std::vector<std::unordered_map<
-      std::uint64_t, std::unordered_map<NodeId, Fw1Tally>>> fw1_tallies_;
-  std::vector<std::unordered_map<std::uint64_t, ResponderState>> responder_;
-
+  std::vector<RelayState> relay_;
   std::vector<std::vector<std::pair<NodeId, StringId>>> deferred_;
 
   std::vector<NodeId> counted_arena_;

@@ -184,9 +184,14 @@ struct Aggregate {
                : 0;
   }
 
-  /// Order-sensitive hash of every numeric field — two Aggregates are
-  /// bit-identical iff their fingerprints match (used by the determinism
-  /// tests and CI).
+  /// Order-sensitive hash of the protocol and traffic fields: the outcome
+  /// counters, the time / traffic / imbalance distributions, the push and
+  /// candidate-list figures, the composed-BA phase split, per-kind traffic
+  /// and the fault-layer counters (used by the determinism tests and CI).
+  /// Left out: mem_bytes_per_node, the corruption timeline, the recovery_*
+  /// fields (see their declarations) and every distribution's p999
+  /// (exp/stats.h). Message kinds after kPing enter the hash only when they
+  /// carried traffic (aggregate.cpp).
   std::uint64_t fingerprint() const;
 };
 

@@ -7,11 +7,12 @@
 //
 // IMPORTANT scope restriction: these containers are deliberately
 // *unordered and non-iterable*. Simulation behavior depends on the order
-// messages are sent, so any container whose iteration drives sends must
-// keep std::unordered_map's iteration order (see aer/node.h's retained
-// maps). FlatMap64 is only for state that is looked up and mutated in
-// place — results are identical regardless of capacity history, which keeps
-// arena-reused trials bit-identical to fresh ones.
+// messages are sent, so state whose iteration drives sends keeps an
+// arrival-ordered log beside its FlatMap64 index and derives the send order
+// from that log (aer/relay_state.h: RelayState::serve replays it to get the
+// pinned std::unordered_map order). FlatMap64 itself is only looked up and
+// mutated in place — results are identical regardless of capacity history,
+// which keeps arena-reused trials bit-identical to fresh ones.
 #pragma once
 
 #include <algorithm>

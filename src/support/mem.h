@@ -58,6 +58,13 @@ inline std::uint64_t flat_table_slots(std::size_t entries) {
   return cap;
 }
 
+/// Logical bytes of a FlatMap64 holding `entries` values of `value_size`
+/// bytes: its slot count times one 64-bit key plus one value per slot.
+inline std::uint64_t flat_table_bytes(std::size_t entries,
+                                      std::size_t value_size) {
+  return flat_table_slots(entries) * (sizeof(std::uint64_t) + value_size);
+}
+
 /// Process peak resident set size in bytes (VmHWM from /proc/self/status).
 /// Returns 0 when unavailable (non-Linux). Diagnostic only — never fold
 /// this into reports or fingerprints.
