@@ -74,7 +74,6 @@ AsyncResult AsyncEngine::run(const std::function<bool()>& done) {
 
   std::size_t since_check = 0;
   while (!queue_.empty()) {
-    if (queue_.next_at() > config_.max_time) break;
     if (++since_check >= config_.done_check_stride) {
       since_check = 0;
       if (done()) {
@@ -83,6 +82,8 @@ AsyncResult AsyncEngine::run(const std::function<bool()>& done) {
       }
     }
     const EventQueue::Event next = queue_.pop();
+    // Every queue_* path culls events past the horizon before pushing.
+    FBA_ASSERT(next.at <= config_.max_time, "queued event past max_time");
     current_time_ = next.at;
     const std::uint64_t decisions_before = decisions_reported();
     if (next.is_timer) {

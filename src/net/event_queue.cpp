@@ -30,13 +30,15 @@ void EventQueue::clear() {
   heap_.clear();
   slab_.clear();
   slab_free_.clear();
+  runs_.fill(Run{});
+  run_front_.fill(kNoKey);
+  min_run_ = 0;
+  timer_fallbacks_ = 0;
+  run_chunks_.release_all();
   // Every chunk goes back on the free list, whichever lane held it —
   // including any that a throwing visitor left detached mid-drain.
   std::fill(ring_.begin(), ring_.end(), Bucket{});
-  free_chunks_ = nullptr;
-  for (const std::unique_ptr<Chunk>& chunk : chunks_) {
-    release_chunk(chunk.get());
-  }
+  lane_chunks_.release_all();
   head_ = 0;
   base_tick_ = 0;
 }
@@ -69,18 +71,6 @@ EventQueue::Bucket& EventQueue::bucket_at(std::uint64_t tick) {
   return ring_[(head_ + offset) & (ring_.size() - 1)];
 }
 
-EventQueue::Chunk* EventQueue::acquire_chunk() {
-  if (free_chunks_ == nullptr) {
-    // Default-initialized: `next` is set, the entry storage stays raw.
-    chunks_.push_back(std::unique_ptr<Chunk>(new Chunk));
-    return chunks_.back().get();
-  }
-  Chunk* chunk = free_chunks_;
-  free_chunks_ = chunk->next;
-  chunk->next = nullptr;
-  return chunk;
-}
-
 void* EventQueue::lane_slot(SimTime at, std::uint32_t pri) {
   FBA_ASSERT(pri < kNumPriorities, "bucketed priority class out of range");
   const auto tick = static_cast<std::uint64_t>(at);
@@ -89,7 +79,7 @@ void* EventQueue::lane_slot(SimTime at, std::uint32_t pri) {
   Bucket& bucket = bucket_at(tick);
   Lane& lane = bucket.lanes[pri];
   if (lane.fill == kChunkEntries || lane.tail == nullptr) {
-    Chunk* chunk = acquire_chunk();
+    LaneChunk* chunk = lane_chunks_.acquire();
     if (lane.tail == nullptr) {
       lane.head = chunk;
     } else {
@@ -99,8 +89,7 @@ void* EventQueue::lane_slot(SimTime at, std::uint32_t pri) {
     lane.fill = 0;
   }
   ++bucket.count;
-  ++size_;
-  if (size_ > peak_size_) peak_size_ = size_;
+  note_push();
   return lane.tail->entries() + lane.fill++;
 }
 
@@ -116,8 +105,7 @@ EventQueue::HeapEntry EventQueue::heap_entry(SimTime at, std::uint32_t pri) {
 }
 
 void EventQueue::heap_insert(const HeapEntry& entry) {
-  ++size_;
-  if (size_ > peak_size_) peak_size_ = size_;
+  note_push();
   heap_.push_back(entry);
   heap_sift_up(heap_.size() - 1);
 }
@@ -155,7 +143,10 @@ void EventQueue::push_timer(SimTime at, std::uint32_t pri, NodeId node,
     entry.word = token;
     entry.ref = node;
     entry.is_timer = true;
-    heap_insert(entry);
+    if (!run_append(entry)) {
+      ++timer_fallbacks_;
+      heap_insert(entry);
+    }
     return;
   }
   LaneEntry* slot = ::new (lane_slot(at, pri)) LaneEntry{
@@ -172,21 +163,89 @@ void EventQueue::push_burst(SimTime at, std::uint32_t pri,
       env, static_cast<std::uint64_t>(LaneEntry::Kind::kBurst)};
 }
 
-SimTime EventQueue::heap_front_at() const {
-  return std::bit_cast<SimTime>(heap_.front().key_hi);
+bool EventQueue::run_append(const HeapEntry& entry) {
+  // Best fit, as in patience sorting: the run whose tail lies nearest below
+  // the key leaves the runs with earlier tails open for later timers armed
+  // with a shorter RTO.
+  const Key key = key_of(entry);
+  std::size_t pick = kTimerRuns;
+  std::size_t empty = kTimerRuns;
+  for (std::size_t r = 0; r < kTimerRuns; ++r) {
+    if (run_front_[r] == kNoKey) {
+      if (empty == kTimerRuns) empty = r;
+    } else if (runs_[r].last < key &&
+               (pick == kTimerRuns || runs_[r].last > runs_[pick].last)) {
+      pick = r;
+    }
+  }
+  if (pick == kTimerRuns) pick = empty;
+  if (pick == kTimerRuns) return false;
+  Run& run = runs_[pick];
+  if (run.fill == kRunChunkEntries || run.tail == nullptr) {
+    RunChunk* chunk = run_chunks_.acquire();
+    if (run.tail == nullptr) {
+      run.head = chunk;
+    } else {
+      run.tail->next = chunk;
+    }
+    run.tail = chunk;
+    run.fill = 0;
+  }
+  ::new (run.tail->entries() + run.fill++) HeapEntry(entry);
+  run.last = key;
+  if (run_front_[pick] == kNoKey) {
+    run_front_[pick] = key;
+    if (key < run_front_[min_run_]) min_run_ = pick;
+  }
+  note_push();
+  return true;
+}
+
+EventQueue::HeapEntry EventQueue::run_pop_front() {
+  Run& run = runs_[min_run_];
+  const HeapEntry entry = run.head->entries()[run.head_pos++];
+  if (run.head_pos == (run.head == run.tail ? run.fill : kRunChunkEntries)) {
+    // The head chunk is spent: hand it back; the run may now be empty.
+    RunChunk* next = run.head->next;
+    run_chunks_.release(run.head);
+    if (next == nullptr) {
+      run = Run{};
+    } else {
+      run.head = next;
+      run.head_pos = 0;
+    }
+  }
+  run_front_[min_run_] = run.head == nullptr
+                             ? kNoKey
+                             : key_of(run.head->entries()[run.head_pos]);
+  // This run's front only moved later: rescan for the earliest.
+  min_run_ = 0;
+  for (std::size_t r = 1; r < kTimerRuns; ++r) {
+    if (run_front_[r] < run_front_[min_run_]) min_run_ = r;
+  }
+  return entry;
 }
 
 SimTime EventQueue::next_at() const {
   FBA_ASSERT(mode_ == Mode::kHeap, "next_at() needs the heap queue");
   FBA_ASSERT(size_ > 0, "next_at() on an empty event queue");
-  return heap_front_at();
+  Key front = run_front_[min_run_];
+  if (!heap_.empty()) front = std::min(front, key_of(heap_.front()));
+  return std::bit_cast<SimTime>(static_cast<std::uint64_t>(front >> 64));
 }
 
 EventQueue::Event EventQueue::pop() {
   FBA_ASSERT(mode_ == Mode::kHeap, "pop() needs the heap queue");
   FBA_ASSERT(size_ > 0, "pop() on an empty event queue");
   --size_;
-  const HeapEntry& front = heap_.front();
+  // Keys are unique (seq), so exactly one store holds the earliest event.
+  HeapEntry front;
+  if (!heap_.empty() && key_of(heap_.front()) < run_front_[min_run_]) {
+    front = heap_.front();
+    heap_remove_front();
+  } else {
+    front = run_pop_front();
+  }
   Event out;
   out.at = std::bit_cast<SimTime>(front.key_hi);
   out.pri = static_cast<std::uint32_t>(front.key_lo >> kSeqBits);
@@ -202,7 +261,6 @@ EventQueue::Event EventQueue::pop() {
     out.env = slab_[front.ref];
     slab_free_.push_back(front.ref);
   }
-  heap_remove_front();
   return out;
 }
 

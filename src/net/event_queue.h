@@ -13,29 +13,39 @@
 //   - `seq` — push order, so delivery is FIFO among equal (at, pri).
 //
 // Two storage modes, chosen by the owning engine's timing model:
-//   - kHeap    — an implicit 4-ary min-heap; for continuous timestamps
-//                (async engine), consumed one event at a time via pop().
-//                O(log n) push/pop. The heap sifts compact 32-byte entries
-//                (HeapEntry), not Events: the (at, pri, seq) key packed
-//                into two words compared as one 128-bit integer, plus a
-//                timer's node and token carried inline. A message's
-//                Envelope is parked in a pooled payload slab (LIFO free
-//                list) and touched once on push and once on pop, so a sift
-//                level reads one 128-byte sibling group and timers — the
-//                recovery layer's retransmit timers are a large share of a
-//                lossy run's queue — never touch the slab at all.
+//   - kHeap    — an implicit 4-ary min-heap for messages plus eight FIFO
+//                timer runs; for continuous timestamps (async engine),
+//                consumed one event at a time via pop(). Both stores hold
+//                compact 32-byte entries (HeapEntry), not Events: the
+//                (at, pri, seq) key packed into two words compared as one
+//                128-bit integer, plus a timer's node and token carried
+//                inline. A message's Envelope is parked in a pooled payload
+//                slab (LIFO free list) and touched once on push and once on
+//                pop, so a sift level reads one 128-byte sibling group.
+//                Timers — the recovery layer's retransmit timers, armed at
+//                now + RTO, are a large share of a lossy run's queue —
+//                arrive nearly in key order, so they skip the heap: a timer
+//                is appended to the run whose last key is the largest key
+//                below its own (else to an empty run), and only a timer no
+//                run can take is sifted into the heap. Each run is sorted,
+//                so pop() returns the smaller of the heap root and the
+//                earliest run head: the order is exact for any input. A run
+//                is a chain of fixed-size chunks drawn from the queue's
+//                chunk pool and handed back as the run drains.
 //   - kBuckets — a calendar ring of per-timestamp buckets with one lane per
 //                priority class; for integral timestamps (sync rounds),
 //                consumed a round at a time via drain_due(). Each lane is a
 //                chain of fixed-size chunks of 72-byte LaneEntries (the
 //                bucket, lane and position already give (at, pri, seq), so
-//                nothing else is stored). Chunks come from one free list
-//                shared by the whole queue and go back to it as soon as
-//                drain_due has visited them: a push appends in place and
-//                never copies queued events, nothing is ever sifted, and
-//                memory follows the events in flight rather than each ring
-//                slot's high-water mark. Chunks are kept across clear(), so
-//                a warm queue performs no allocation at all.
+//                nothing else is stored). Chunks come from the queue's chunk
+//                pool and go back to it as soon as drain_due has visited
+//                them: a push appends in place and never copies queued
+//                events, nothing is ever sifted, and memory follows the
+//                events in flight rather than each ring slot's high-water
+//                mark.
+//
+// Both modes' chunk pools keep their chunks across clear(), so a warm queue
+// performs no allocation at all.
 //
 // The engines are thin timing policies over this core: they decide each
 // event's (at, pri) and consume the ordered stream.
@@ -57,7 +67,7 @@ namespace fba::sim {
 class EventQueue {
  public:
   enum class Mode {
-    kHeap,     ///< continuous timestamps, 4-ary min-heap.
+    kHeap,     ///< continuous timestamps, 4-ary min-heap plus timer runs.
     kBuckets,  ///< integral timestamps, per-round calendar buckets.
   };
 
@@ -66,6 +76,14 @@ class EventQueue {
 
   /// LaneEntries per bucket-mode chunk (144 KiB of storage per chunk).
   static constexpr std::size_t kChunkEntries = 2048;
+
+  /// Heap mode: FIFO timer runs beside the heap. A recovery run's timers
+  /// fall into a few RTO backoff levels, one run each; more runs cost every
+  /// timer push and run pop a longer scan.
+  static constexpr std::size_t kTimerRuns = 8;
+
+  /// Heap entries per timer-run chunk (16 KiB of storage per chunk).
+  static constexpr std::size_t kRunChunkEntries = 512;
 
   /// One heap-mode event as pop() rebuilds it from a HeapEntry and its slab
   /// payload.
@@ -111,14 +129,16 @@ class EventQueue {
                     std::is_trivially_destructible_v<LaneEntry>,
                 "entries are built in raw chunk storage and never destroyed");
 
-  explicit EventQueue(Mode mode = Mode::kHeap) : mode_(mode) {}
+  explicit EventQueue(Mode mode = Mode::kHeap) : mode_(mode) {
+    run_front_.fill(kNoKey);
+  }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
   void reserve(std::size_t n);
 
   /// Empties the queue and rewinds the clock to tick 0, keeping the heap
-  /// slab and every bucket-mode chunk (trial-arena reuse).
+  /// slab and every chunk (trial-arena reuse).
   void clear();
 
   /// Heap mode: the earliest pending event's timestamp. Queue must be
@@ -166,13 +186,13 @@ class EventQueue {
       head_ = (head_ + 1) & (ring_.size() - 1);
       ++base_tick_;
       for (const Lane& lane : lanes) {
-        for (Chunk* chunk = lane.head; chunk != nullptr;) {
+        for (LaneChunk* chunk = lane.head; chunk != nullptr;) {
           const std::size_t used =
               chunk == lane.tail ? lane.fill : kChunkEntries;
           const LaneEntry* entries = chunk->entries();
           for (std::size_t i = 0; i < used; ++i) visit(entries[i]);
-          Chunk* next = chunk->next;
-          release_chunk(chunk);
+          LaneChunk* next = chunk->next;
+          lane_chunks_.release(chunk);
           chunk = next;
         }
       }
@@ -183,8 +203,8 @@ class EventQueue {
   std::size_t peak_size() const { return peak_size_; }
 
   /// Bytes the pending events occupied at their high-water mark since the
-  /// last clear(), by the mode's storage layout (LaneEntries, or heap
-  /// entries plus payload-slab slots) — the event core's share of a
+  /// last clear(), by the mode's storage layout (LaneEntries, or heap and
+  /// run entries plus payload-slab slots) — the event core's share of a
   /// trial's deterministic memory account. Counts, never capacities.
   std::size_t peak_bytes() const;
 
@@ -193,9 +213,15 @@ class EventQueue {
   /// 0 in bucket mode.
   std::size_t slab_slots() const { return slab_.size(); }
 
-  /// Bucket mode: chunks allocated over the queue's lifetime (clear()
-  /// keeps them all).
-  std::size_t chunks_allocated() const { return chunks_.size(); }
+  /// Heap mode: timers pushed since the last clear() that no timer run
+  /// could take, so they were sifted into the heap. 0 in bucket mode.
+  std::size_t timer_fallbacks() const { return timer_fallbacks_; }
+
+  /// Chunks allocated over the queue's lifetime — lane chunks in bucket
+  /// mode, timer-run chunks in heap mode (clear() keeps them all).
+  std::size_t chunks_allocated() const {
+    return lane_chunks_.allocated() + run_chunks_.allocated();
+  }
 
  private:
   /// One heap-mode entry. (key_hi, key_lo) is the (at, pri, seq) order as
@@ -212,17 +238,29 @@ class EventQueue {
     bool is_timer = false;
   };
   static_assert(sizeof(HeapEntry) == 32, "four siblings span 128 bytes");
+  static_assert(std::is_trivially_copyable_v<HeapEntry> &&
+                    std::is_trivially_destructible_v<HeapEntry>,
+                "run entries are built in raw chunk storage");
   static constexpr unsigned kSeqBits = 62;
 
-  static bool before(const HeapEntry& x, const HeapEntry& y) {
-    using Key = unsigned __int128;
-    return ((Key{x.key_hi} << 64) | x.key_lo) <
-           ((Key{y.key_hi} << 64) | y.key_lo);
+  using Key = unsigned __int128;
+  /// Above every real key (a timestamp's bit pattern is below 2^63): the
+  /// front of an empty timer run.
+  static constexpr Key kNoKey = ~Key{0};
+
+  static Key key_of(const HeapEntry& x) {
+    return (Key{x.key_hi} << 64) | x.key_lo;
   }
-  SimTime heap_front_at() const;
+  static bool before(const HeapEntry& x, const HeapEntry& y) {
+    return key_of(x) < key_of(y);
+  }
   /// A validated entry keyed (at, pri, next seq); the caller fills in the
-  /// payload fields before heap_insert.
+  /// payload fields before storing it.
   HeapEntry heap_entry(SimTime at, std::uint32_t pri);
+  /// Counts one more pending event.
+  void note_push() {
+    if (++size_ > peak_size_) peak_size_ = size_;
+  }
   void heap_insert(const HeapEntry& entry);
   /// Parks `env` in the payload slab; returns its slot index.
   std::uint32_t slab_put(const Envelope& env);
@@ -233,23 +271,75 @@ class EventQueue {
   /// "does it stop here?" compare of the textbook sift-down.
   void heap_remove_front();
 
-  /// A fixed-size run of one lane's entries; `next` links the lane's chain,
-  /// or the free list while the chunk is unused. The storage starts out
-  /// raw — each push constructs its entry in place — so a fresh chunk costs
-  /// no initialization pass.
-  struct Chunk {
-    Chunk* next = nullptr;
-    alignas(LaneEntry) std::byte storage[kChunkEntries * sizeof(LaneEntry)];
+  /// Fixed-size chunks of `kEntries` raw Entry slots, for either mode. A
+  /// chunk's `next` links its owner's chain, or the free list while the
+  /// chunk is unused. The storage starts out raw — each push constructs its
+  /// entry in place — so a fresh chunk costs no initialization pass.
+  template <typename Entry, std::size_t kEntries>
+  class ChunkPool {
+   public:
+    struct Chunk {
+      Chunk* next = nullptr;
+      alignas(Entry) std::byte storage[kEntries * sizeof(Entry)];
 
-    LaneEntry* entries() {
-      return std::launder(reinterpret_cast<LaneEntry*>(storage));
+      Entry* entries() {
+        return std::launder(reinterpret_cast<Entry*>(storage));
+      }
+    };
+
+    /// Pops the free list, allocating a chunk when it is empty.
+    Chunk* acquire() {
+      if (free_ == nullptr) {
+        // Default-initialized: `next` is set, the entry storage stays raw.
+        chunks_.push_back(std::unique_ptr<Chunk>(new Chunk));
+        return chunks_.back().get();
+      }
+      Chunk* chunk = free_;
+      free_ = chunk->next;
+      chunk->next = nullptr;
+      return chunk;
     }
+    void release(Chunk* chunk) {
+      chunk->next = free_;
+      free_ = chunk;
+    }
+    /// Every chunk back on the free list, whichever chain held it.
+    void release_all() {
+      free_ = nullptr;
+      for (const std::unique_ptr<Chunk>& chunk : chunks_) release(chunk.get());
+    }
+    std::size_t allocated() const { return chunks_.size(); }
+
+   private:
+    /// Owns every chunk ever allocated; chains and the free list borrow
+    /// them.
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    Chunk* free_ = nullptr;  ///< intrusive LIFO free list.
   };
+  using LaneChunk = ChunkPool<LaneEntry, kChunkEntries>::Chunk;
+  using RunChunk = ChunkPool<HeapEntry, kRunChunkEntries>::Chunk;
+
+  /// One timer run: a chunk chain whose keys ascend in push order. The
+  /// head chunk's first `head_pos` entries are popped; every chunk but the
+  /// tail is full, and the tail holds `fill` entries.
+  struct Run {
+    RunChunk* head = nullptr;
+    RunChunk* tail = nullptr;
+    std::size_t head_pos = 0;
+    std::size_t fill = 0;
+    Key last = 0;  ///< the newest entry's key.
+  };
+  /// Appends a timer to the run whose newest key is the largest below its
+  /// own, else to an empty run; false when no run can take it.
+  bool run_append(const HeapEntry& entry);
+  /// Removes the earliest run head (runs_[min_run_]).
+  HeapEntry run_pop_front();
+
   /// One priority class of one tick: a chunk chain in push order. Every
   /// chunk but the tail is full; the tail holds `fill` entries.
   struct Lane {
-    Chunk* head = nullptr;
-    Chunk* tail = nullptr;
+    LaneChunk* head = nullptr;
+    LaneChunk* tail = nullptr;
     std::size_t fill = 0;
   };
   /// One integral timestamp's pending events, one lane per priority class.
@@ -263,32 +353,31 @@ class EventQueue {
   void* lane_slot(SimTime at, std::uint32_t pri);
   Bucket& bucket_at(std::uint64_t tick);
   void grow_ring(std::size_t min_slots);
-  /// Pops the free list, allocating a chunk when it is empty.
-  Chunk* acquire_chunk();
-  void release_chunk(Chunk* chunk) {
-    chunk->next = free_chunks_;
-    free_chunks_ = chunk;
-  }
 
   Mode mode_;
   std::size_t size_ = 0;
   std::size_t peak_size_ = 0;
   std::uint64_t next_seq_ = 0;
 
-  // kHeap state: implicit 4-ary min-heap of compact entries, and the pooled
-  // payload slab their messages point into.
+  // kHeap state: implicit 4-ary min-heap of compact entries, the pooled
+  // payload slab their messages point into, and the timer runs.
   std::vector<HeapEntry> heap_;
   std::vector<Envelope> slab_;
   std::vector<std::uint32_t> slab_free_;  ///< reusable slab slots (LIFO).
+  std::array<Run, kTimerRuns> runs_{};
+  /// Each run's head key, kNoKey when empty: the array pop() and
+  /// run_append scan.
+  std::array<Key, kTimerRuns> run_front_;
+  std::size_t min_run_ = 0;  ///< the run with the smallest front.
+  std::size_t timer_fallbacks_ = 0;
+  ChunkPool<HeapEntry, kRunChunkEntries> run_chunks_;
 
   // kBuckets state: power-of-two ring of buckets covering ticks
   // [base_tick_, base_tick_ + ring_.size()); head_ indexes base_tick_'s slot.
   std::vector<Bucket> ring_;
   std::size_t head_ = 0;
   std::uint64_t base_tick_ = 0;
-  /// Owns every chunk ever allocated; lanes and the free list borrow them.
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-  Chunk* free_chunks_ = nullptr;  ///< intrusive LIFO free list.
+  ChunkPool<LaneEntry, kChunkEntries> lane_chunks_;
 };
 
 }  // namespace fba::sim

@@ -485,5 +485,230 @@ TEST(EventQueueHeapTest, RejectsPushesOutsideTheKeyDomain) {
   EXPECT_EQ(q.pop().env.src, 1u);
 }
 
+// ----- heap mode: timer runs beside the heap --------------------------------
+
+/// InterleavedPushPopMatchesOrderedModel's reference model, wrapped for the
+/// timer-run tests. Every push is at pri 0, so the model is keyed (at, seq).
+/// Each push goes to the queue and the model alike, and pop() checks the
+/// queue's next event against the model's first, payload included.
+class HeapReference {
+ public:
+  explicit HeapReference(EventQueue& q) : q_(q) {}
+
+  void timer(SimTime at) {
+    QueuedEvent ev;
+    ev.is_timer = true;
+    ev.payload = ++payload_;
+    ev.timer_node = payload_ % 4 == 0 ? kRecoveryTimerNode
+                                      : static_cast<NodeId>(payload_ % 64);
+    q_.push_timer(at, 0, ev.timer_node, ev.payload);
+    model_.emplace(std::make_pair(at, seq_++), ev);
+    ++timers_;
+  }
+
+  void message(SimTime at) {
+    QueuedEvent ev;
+    ev.payload = ++payload_;
+    Envelope env;
+    env.msg.value = ev.payload;
+    q_.push_message(at, 0, env);
+    model_.emplace(std::make_pair(at, seq_++), ev);
+  }
+
+  ::testing::AssertionResult pop() {
+    if (model_.empty()) return ::testing::AssertionFailure() << "model empty";
+    const auto it = model_.begin();
+    const auto [at, seq] = it->first;
+    const QueuedEvent& expected = it->second;
+    const EventQueue::Event ev = q_.pop();
+    const std::uint64_t payload =
+        ev.is_timer ? ev.timer_token : ev.env.msg.value;
+    if (ev.at != at || ev.seq != seq || ev.is_timer != expected.is_timer ||
+        payload != expected.payload ||
+        (ev.is_timer && ev.timer_node != expected.timer_node)) {
+      return ::testing::AssertionFailure()
+             << "popped " << (ev.is_timer ? "timer" : "message") << " (at "
+             << ev.at << ", seq " << ev.seq << ") where the model has "
+             << (expected.is_timer ? "timer" : "message") << " (at " << at
+             << ", seq " << seq << ")";
+    }
+    now_ = at;
+    model_.erase(it);
+    if (q_.size() != model_.size()) {
+      return ::testing::AssertionFailure()
+             << "queue holds " << q_.size() << ", model " << model_.size();
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  /// Clears the queue mid-stream; the model restarts with it.
+  void clear() {
+    q_.clear();
+    model_.clear();
+    seq_ = 0;
+    timers_ = 0;
+    now_ = 0;
+  }
+
+  std::size_t size() const { return model_.size(); }
+  std::size_t timers() const { return timers_; }  ///< pushed since clear().
+  SimTime now() const { return now_; }  ///< the last popped timestamp.
+
+ private:
+  EventQueue& q_;
+  std::map<std::pair<SimTime, std::uint64_t>, QueuedEvent> model_;
+  std::uint64_t seq_ = 0;
+  std::uint64_t payload_ = 0;
+  std::size_t timers_ = 0;
+  SimTime now_ = 0;
+};
+
+/// The recovery layer's shape: each tracked send queues its message at
+/// now + U(0, 1] and its retransmit timer at now + RTO, where the RTO is one
+/// of arq-fast's backoff levels over a base that drifts slowly up and down
+/// with time. Every timer must take a run — none enters the heap — while
+/// the order stays exact.
+TEST(EventQueueHeapTest, RecoveryShapedTimersNeverEnterTheHeap) {
+  constexpr SimTime kRto[] = {2.5, 3.75, 5.625, 8.0};
+  EventQueue q(EventQueue::Mode::kHeap);
+  HeapReference ref(q);
+  Rng rng(20130722);
+  for (int step = 0; step < 200000; ++step) {
+    if (ref.size() == 0 || (ref.size() < 12000 && rng.below(2) == 0)) {
+      const SimTime now = ref.now();
+      const SimTime base = 0.1 * (1 + std::sin(now / 4));
+      ref.message(now + rng.uniform_positive());
+      ref.timer(now + base + kRto[rng.below(4)]);
+    } else {
+      ASSERT_TRUE(ref.pop()) << "step " << step;
+    }
+  }
+  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
+  EXPECT_GT(ref.timers(), 50000u);
+  EXPECT_GT(ref.now(), 30.0);  // a full period of the base's drift
+  EXPECT_EQ(q.timer_fallbacks(), 0u);
+  EXPECT_GT(q.peak_size(), 4 * EventQueue::kRunChunkEntries);
+}
+
+/// More interleaved timer streams than there are runs, each starting below
+/// the last: a stream's first timer sorts before every run's tail, so the
+/// first eight open a run each and the rest go to the heap, stream after
+/// stream. Messages and pops interleave throughout; the order must stay
+/// exact.
+TEST(EventQueueHeapTest, DescendingStreamsBeyondTheRunCountFallBackExactly) {
+  constexpr std::size_t kStreams = EventQueue::kTimerRuns + 5;
+  constexpr std::size_t kRounds = 3000;
+  EventQueue q(EventQueue::Mode::kHeap);
+  HeapReference ref(q);
+  Rng rng(7);
+  for (std::size_t k = 0; k < kRounds; ++k) {
+    for (std::size_t s = 0; s < kStreams; ++s) {
+      ref.timer(100.0 - static_cast<double>(s) + 0.01 * static_cast<double>(k));
+    }
+    ref.message(ref.now() + rng.uniform_positive());
+    for (std::uint64_t pops = rng.below(16); pops > 0; --pops) {
+      ASSERT_TRUE(ref.pop()) << "round " << k;
+    }
+  }
+  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
+  EXPECT_EQ(q.timer_fallbacks(),
+            (kStreams - EventQueue::kTimerRuns) * kRounds);
+}
+
+/// A run longer than four chunks drains while a second ascending stream,
+/// interleaved with it in time, fills another run from the chunks the
+/// first hands back; once both are empty, a third stream takes a run again
+/// without allocating a chunk.
+TEST(EventQueueHeapTest, DrainedRunReturnsItsChunksAndTakesANewStream) {
+  constexpr std::size_t kLong = 4 * EventQueue::kRunChunkEntries +
+                                EventQueue::kRunChunkEntries / 2;
+  constexpr SimTime kStep = 1.0 / 1024;
+  EventQueue q(EventQueue::Mode::kHeap);
+  HeapReference ref(q);
+  for (std::size_t i = 0; i < kLong; ++i) {
+    ref.timer(10.0 + kStep * static_cast<double>(i));
+  }
+  EXPECT_EQ(q.chunks_allocated(), 5u);  // one run, 4.5 chunks
+  // Each pop is followed by a timer just after it: the new stream sorts
+  // below the first run's tail, so it opens a run of its own.
+  for (std::size_t i = 0; i < kLong; ++i) {
+    ASSERT_TRUE(ref.pop()) << "pop " << i;
+    ref.timer(ref.now() + kStep / 2);
+  }
+  EXPECT_LT(q.chunks_allocated(), 2 * 5u);  // the second run reused chunks
+  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
+  const std::size_t chunks = q.chunks_allocated();
+  for (std::size_t i = 0; i < kLong; ++i) {
+    ref.timer(20.0 + kStep * static_cast<double>(i));
+  }
+  EXPECT_EQ(q.chunks_allocated(), chunks);
+  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
+  EXPECT_EQ(q.timer_fallbacks(), 0u);
+}
+
+/// Events tied on `at` go by seq whichever store holds them: run entries,
+/// timers the runs turned away to the heap, and messages.
+TEST(EventQueueHeapTest, TiesOnTimeGoBySeqAcrossRunsAndHeap) {
+  EventQueue q(EventQueue::Mode::kHeap);
+  HeapReference ref(q);
+  ref.message(5.0);
+  ref.timer(5.0);  // opens run 0
+  ref.message(5.0);
+  ref.timer(5.0);  // joins run 0
+  ref.timer(12.0);  // joins run 0, whose tail is now past 5.0
+  // Seven more runs, each tail past 5.0: 11, 10, ..., 6, then 5.5.
+  for (SimTime at = 11.0; at >= 6.0; --at) ref.timer(at);
+  ref.timer(5.5);
+  EXPECT_EQ(q.timer_fallbacks(), 0u);
+  ref.message(5.0);
+  ref.timer(5.0);  // no run can take it: to the heap
+  ref.message(5.0);
+  ref.timer(5.0);
+  EXPECT_EQ(q.timer_fallbacks(), 2u);
+  EXPECT_EQ(q.next_at(), 5.0);
+  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
+}
+
+/// clear() mid-stream empties the runs and restarts seq, and refilling the
+/// queue with the same stream allocates no new chunk.
+TEST(EventQueueHeapTest, ClearMidStreamEmptiesRunsAndReusesChunks) {
+  EventQueue q(EventQueue::Mode::kHeap);
+  HeapReference ref(q);
+  auto fill = [&] {
+    Rng rng(99);
+    for (int i = 0; i < 4000; ++i) {
+      ref.message(ref.now() + rng.uniform_positive());
+      ref.timer(ref.now() + 2.5 + 0.001 * static_cast<double>(i % 3));
+      ref.timer(50.0 - 0.01 * static_cast<double>(i));  // some to the heap
+      if (i % 2 == 0) {
+        ASSERT_TRUE(ref.pop()) << "pop " << i;
+      }
+    }
+  };
+  fill();
+  const std::size_t chunks = q.chunks_allocated();
+  EXPECT_GT(chunks, 2u);
+  EXPECT_GT(q.timer_fallbacks(), 0u);
+  ref.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.slab_slots(), 0u);
+  EXPECT_EQ(q.timer_fallbacks(), 0u);
+  // Only empty runs can take eight descending timers, one each; a ninth,
+  // earlier still, goes to the heap.
+  for (std::size_t k = 0; k < EventQueue::kTimerRuns; ++k) {
+    ref.timer(100.0 - static_cast<double>(k));
+  }
+  EXPECT_EQ(q.timer_fallbacks(), 0u);
+  ref.timer(1.0);
+  EXPECT_EQ(q.timer_fallbacks(), 1u);
+  const EventQueue::Event first = q.pop();  // seq restarted at 0
+  EXPECT_EQ(first.at, 1.0);
+  EXPECT_EQ(first.seq, EventQueue::kTimerRuns);
+  ref.clear();
+  fill();
+  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
+  EXPECT_EQ(q.chunks_allocated(), chunks);
+}
+
 }  // namespace
 }  // namespace fba::sim
