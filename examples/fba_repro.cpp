@@ -33,6 +33,7 @@
 // per docs/output-schema.md; .md embeds an ASCII rendering, .gp is a
 // self-contained gnuplot script). --baseline=FILE runs Report::diff against
 // a previously committed JSON and exits 1 on regressions beyond CI bounds.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -42,7 +43,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "bench/fig3_common.h"
 #include "fba.h"
 
 namespace {
@@ -123,6 +123,30 @@ exp::Sweep::Progress progress(const char* label) {
   return exp::stderr_progress(label);
 }
 
+/// The workers a figure's trial loops actually start, for the closing line:
+/// the largest pool any of its loops ran on.
+struct Pool {
+  std::size_t workers = 1;
+  bool procs = false;
+
+  void note(std::size_t started, bool forked) {
+    workers = std::max(workers, started);
+    procs = procs || forked;
+  }
+};
+
+/// Runs one of a figure's sweeps on the --threads/--procs pool and notes
+/// that pool. Neither pool starts more workers than the sweep has trials.
+std::vector<exp::PointResult> run_sweep(exp::Sweep& sweep, const Options& opt,
+                                        const char* label, Pool& pool) {
+  sweep.set_threads(opt.threads).set_procs(opt.procs);
+  sweep.set_progress(progress(label));
+  const bool forked = opt.procs > 1;
+  pool.note(std::min(forked ? opt.procs : opt.threads, sweep.total_trials()),
+            forked);
+  return sweep.run();
+}
+
 /// Report skeleton shared by all figures: bench_util's meta filling plus
 /// the figure's headline-curve axes.
 exp::Report figure_report(const Options& opt, const char* figure,
@@ -150,7 +174,7 @@ void add_by_model(exp::Report& report, const std::string& prefix,
 
 // ---- fig1a: a-e to everywhere comparison ------------------------------------
 
-exp::Report run_fig1a(const Options& opt, std::size_t trials) {
+exp::Report run_fig1a(const Options& opt, std::size_t trials, Pool& pool) {
   exp::Report report = figure_report(
       opt, "fig1a", "Figure 1(a): almost-everywhere to everywhere comparison",
       "n", "amortized_bits.mean", "amortized bits per node", trials);
@@ -166,9 +190,8 @@ exp::Report run_fig1a(const Options& opt, std::size_t trials) {
   if (opt.fault != "none") aer_grid.faults = {opt.fault};
   if (opt.recovery != "off") aer_grid.recoveries = {opt.recovery};
   exp::Sweep aer_sweep(base, aer_grid, trials);
-  aer_sweep.set_threads(opt.threads).set_procs(opt.procs);
-  aer_sweep.set_progress(progress("fig1a AER"));
-  add_by_model(report, "AER/", base, aer_sweep.run());
+  add_by_model(report, "AER/", base,
+               run_sweep(aer_sweep, opt, "fig1a AER", pool));
 
   exp::Grid base_grid;
   base_grid.ns = sizes;
@@ -176,22 +199,20 @@ exp::Report run_fig1a(const Options& opt, std::size_t trials) {
   if (opt.fault != "none") base_grid.faults = {opt.fault};
   if (opt.recovery != "off") base_grid.recoveries = {opt.recovery};
   exp::Sweep sqrt_sweep(base, base_grid, trials);
-  sqrt_sweep.set_threads(opt.threads).set_procs(opt.procs);
   sqrt_sweep.set_trial(exp::run_sqrtsample_trial);
-  sqrt_sweep.set_progress(progress("fig1a sqrt-sample"));
-  report.add_points("SQRT-SAMPLE", base, sqrt_sweep.run());
+  report.add_points("SQRT-SAMPLE", base,
+                    run_sweep(sqrt_sweep, opt, "fig1a sqrt-sample", pool));
 
   exp::Sweep flood_sweep(base, base_grid, trials);
-  flood_sweep.set_threads(opt.threads).set_procs(opt.procs);
   flood_sweep.set_trial(exp::run_flood_trial);
-  flood_sweep.set_progress(progress("fig1a flood"));
-  report.add_points("FLOOD-ALL", base, flood_sweep.run());
+  report.add_points("FLOOD-ALL", base,
+                    run_sweep(flood_sweep, opt, "fig1a flood", pool));
   return report;
 }
 
 // ---- fig1b: BA comparison ---------------------------------------------------
 
-exp::Report run_fig1b(const Options& opt, std::size_t trials) {
+exp::Report run_fig1b(const Options& opt, std::size_t trials, Pool& pool) {
   exp::Report report = figure_report(
       opt, "fig1b", "Figure 1(b): Byzantine Agreement comparison", "n",
       "completion_time.mean", "end-to-end time (AE rounds + reduction)",
@@ -211,8 +232,6 @@ exp::Report run_fig1b(const Options& opt, std::size_t trials) {
        {ba::Reduction::kAer, ba::Reduction::kSqrtSample,
         ba::Reduction::kFlood}) {
     exp::Sweep sweep(base, grid, trials);
-    sweep.set_threads(opt.threads).set_procs(opt.procs);
-    sweep.set_progress(progress(ba::reduction_name(reduction)));
     sweep.set_trial(
         [reduction](const aer::AerConfig& cfg, const exp::GridPoint& point) {
           ba::BaConfig run;
@@ -227,24 +246,25 @@ exp::Report run_fig1b(const Options& opt, std::size_t trials) {
           }
           return exp::outcome_of(ba::run_ba(run, reduction));
         });
-    report.add_points(std::string("BA/") + ba::reduction_name(reduction),
-                      base, sweep.run());
+    report.add_points(
+        std::string("BA/") + ba::reduction_name(reduction), base,
+        run_sweep(sweep, opt, ba::reduction_name(reduction), pool));
   }
   return report;
 }
 
 // ---- fig2: push/pull message flow -------------------------------------------
 
-exp::Report run_fig2(const Options& opt, std::size_t trials) {
+exp::Report run_fig2(const Options& opt, std::size_t trials, Pool& pool) {
   exp::Report report = figure_report(
       opt, "fig2", "Figure 2: push and pull message flow (per-kind traffic)",
       "kind", "amortized_bits.mean", "amortized bits per node", trials);
 
   aer::AerConfig cfg;
   cfg.n = 64;
-  // Default seed 13 = the exact configuration bench_fig2_trace traces
-  // (their reports are then fingerprint-identical); an explicit --seed
-  // overrides it. Either way meta.base_seed records the seed actually run.
+  // Default seed 13 pins the figure's configuration, so its reports stay
+  // fingerprint-comparable across runs; an explicit --seed overrides it.
+  // Either way meta.base_seed records the seed actually run.
   cfg.seed = opt.seed_set ? opt.seed : 13;
   cfg.model = aer::Model::kSyncRushing;
   cfg.d_override = 11;
@@ -256,31 +276,65 @@ exp::Report run_fig2(const Options& opt, std::size_t trials) {
   if (opt.recovery != "off") grid.recoveries = {opt.recovery};
 
   exp::Sweep sweep(cfg, grid, trials);
-  sweep.set_threads(opt.threads).set_procs(opt.procs);
-  sweep.set_progress(progress("fig2"));
-  report.add_points("AER n=64", cfg, sweep.run());
+  report.add_points("AER n=64", cfg, run_sweep(sweep, opt, "fig2", pool));
   return report;
 }
 
 // ---- fig3: sampler expansion ------------------------------------------------
 
-exp::Report run_fig3(const Options& opt, std::size_t trials) {
+/// One (n, set-type) Monte-Carlo point of the Figure 3 sweep. The border
+/// ratio rides in the completion_time stat slot (docs/output-schema.md,
+/// "figure metrics"). The sampler is a const keyed hash, so trials share it
+/// and fan out; each trial derives its own Rng stream.
+exp::ReportPoint run_fig3_point(std::size_t n, bool adversarial,
+                                std::size_t grid_point,
+                                std::uint64_t seed_root, std::size_t trials,
+                                std::size_t threads) {
+  const auto params = sampler::SamplerParams::defaults(n, 1);
+  const sampler::PollSampler sampler(params, 0x4a20706f6c6c0000ull);
+  const std::uint64_t base_seed = seed_root + n;
+  const auto log2n =
+      static_cast<std::size_t>(std::ceil(std::log2(double(n))));
+  const std::size_t set_size = std::max<std::size_t>(4, n / log2n);
+
+  std::vector<exp::TrialOutcome> outcomes(trials);
+  exp::run_indexed(trials, threads, [&](std::size_t trial) {
+    exp::TrialOutcome& o = outcomes[trial];
+    o.seed = exp::trial_seed(base_seed, grid_point, trial);
+    Rng rng(o.seed);
+    const sampler::BorderReport r =
+        adversarial
+            ? sampler::greedy_adversarial_border(sampler, set_size, 8, rng)
+            : sampler::random_border(sampler, set_size, rng);
+    o.completion_time = r.ratio;
+    o.agreement = r.ratio > 2.0 / 3.0;
+    o.engine_completed = true;
+    o.correct = n;
+    o.decided = n;
+  });
+  exp::ReportPoint out;
+  out.point.index = grid_point - 1;
+  out.point.n = n;
+  out.point.strategy = adversarial ? "greedy-adversarial" : "uniform";
+  out.provenance.d = params.d;
+  out.provenance.node_id_bits = node_id_bits(n);
+  out.aggregate = exp::aggregate_outcomes(outcomes);
+  return out;
+}
+
+exp::Report run_fig3(const Options& opt, std::size_t trials, Pool& pool) {
   exp::Report report = figure_report(
       opt, "fig3", "Figure 3 / Lemma 2: sampler border expansion", "n",
       "completion_time.min", "min border ratio |dL| / (d |L|)", trials);
 
-  // The shared benchutil::run_fig3_point driver (also behind
-  // bench_fig3_expansion) keeps seed derivation identical across both
-  // tools — at equal --trials their fig3 points are
-  // fingerprint-identical.
   std::size_t grid_point = 0;
   for (const std::size_t n : benchutil::light_sizes(opt.scale)) {
     for (const bool adversarial : {false, true}) {
-      ++grid_point;
-      benchutil::Fig3Point point = benchutil::run_fig3_point(
-          n, adversarial, grid_point, opt.seed, trials, opt.threads);
-      const std::string series = point.report_point.point.strategy;
-      report.add_point(series, std::move(point.report_point));
+      exp::ReportPoint point = run_fig3_point(n, adversarial, ++grid_point,
+                                              opt.seed, trials, opt.threads);
+      pool.note(std::min(opt.threads, trials), false);
+      const std::string series = point.point.strategy;
+      report.add_point(series, std::move(point));
     }
   }
   return report;
@@ -327,7 +381,8 @@ exp::ScaleTrialOptions::RoundProgress scale_round_progress(
   };
 }
 
-exp::Report run_fig3_scale(const Options& opt, std::size_t trials) {
+exp::Report run_fig3_scale(const Options& opt, std::size_t trials,
+                           Pool& pool) {
   exp::Report report = figure_report(
       opt, "fig3-scale",
       "Scale mode: AER completion rounds and bytes/node up to n = 10^6", "n",
@@ -364,6 +419,7 @@ exp::Report run_fig3_scale(const Options& opt, std::size_t trials) {
   // (trial_seed over point.index/trial), so results match any runner that
   // executes the same (point, trial) set.
   exp::ScaleArena arena;
+  pool.note(1, false);
   const exp::Sweep::Progress trial_progress = progress("fig3-scale");
   std::size_t completed = 0;
   for (const exp::GridPoint& point : points) {
@@ -395,7 +451,8 @@ exp::Report run_fig3_scale(const Options& opt, std::size_t trials) {
 
 // ---- fault-matrix: degradation beyond the paper's model ---------------------
 
-exp::Report run_fault_matrix(const Options& opt, std::size_t trials) {
+exp::Report run_fault_matrix(const Options& opt, std::size_t trials,
+                             Pool& pool) {
   exp::Report report = figure_report(
       opt, "fault-matrix",
       "Fault degradation matrix: liveness under loss / partitions / churn",
@@ -414,15 +471,15 @@ exp::Report run_fault_matrix(const Options& opt, std::size_t trials) {
   grid.faults = exp::known_faults();
   if (opt.recovery != "off") grid.recoveries = {opt.recovery};
   exp::Sweep sweep(base, grid, trials);
-  sweep.set_threads(opt.threads).set_procs(opt.procs);
-  sweep.set_progress(progress("fault-matrix"));
-  add_by_model(report, "AER/", base, sweep.run());
+  add_by_model(report, "AER/", base,
+               run_sweep(sweep, opt, "fault-matrix", pool));
   return report;
 }
 
 // ---- recovery-matrix: buying the channel assumption back --------------------
 
-exp::Report run_recovery_matrix(const Options& opt, std::size_t trials) {
+exp::Report run_recovery_matrix(const Options& opt, std::size_t trials,
+                                Pool& pool) {
   exp::Report report = figure_report(
       opt, "recovery-matrix",
       "Recovery matrix: agreement and retransmit bit-cost of ack/retransmit"
@@ -446,10 +503,9 @@ exp::Report run_recovery_matrix(const Options& opt, std::size_t trials) {
   grid.faults = {"none", "lossy-1pct", "lossy-5pct", "lossy-20pct"};
   grid.recoveries = {"off", "arq-fast", "arq-patient", "arq-capped"};
   exp::Sweep sweep(base, grid, trials);
-  sweep.set_threads(opt.threads).set_procs(opt.procs);
-  sweep.set_progress(progress("recovery-matrix"));
   benchutil::add_split_series(
-      report, base, sweep.run(), [](const exp::GridPoint& p) {
+      report, base, run_sweep(sweep, opt, "recovery-matrix", pool),
+      [](const exp::GridPoint& p) {
         return p.recovery + "/" + aer::model_name(p.model);
       });
   return report;
@@ -457,7 +513,8 @@ exp::Report run_recovery_matrix(const Options& opt, std::size_t trials) {
 
 // ---- adaptive: resilience boundary under runtime corruptions ----------------
 
-exp::Report run_adaptive(const Options& opt, std::size_t trials) {
+exp::Report run_adaptive(const Options& opt, std::size_t trials,
+                         Pool& pool) {
   exp::Report report = figure_report(
       opt, "adaptive",
       "Adaptive adversary: agreement vs runtime corruption budget", "budget",
@@ -487,10 +544,9 @@ exp::Report run_adaptive(const Options& opt, std::size_t trials) {
   grid.budgets = {0, 2, 4, 8, 16};
 
   exp::Sweep sweep(base, grid, trials);
-  sweep.set_threads(opt.threads).set_procs(opt.procs);
-  sweep.set_progress(progress("adaptive"));
   benchutil::add_split_series(
-      report, base, sweep.run(), [](const exp::GridPoint& p) {
+      report, base, run_sweep(sweep, opt, "adaptive", pool),
+      [](const exp::GridPoint& p) {
         return p.strategy + "/" + aer::model_name(p.model);
       });
   return report;
@@ -498,7 +554,8 @@ exp::Report run_adaptive(const Options& opt, std::size_t trials) {
 
 // ---- service: heavy-traffic streaming mode ----------------------------------
 
-exp::Report run_service_figure(const Options& opt, std::size_t trials) {
+exp::Report run_service_figure(const Options& opt, std::size_t trials,
+                               Pool& pool) {
   exp::Report report = figure_report(
       opt, "service",
       "Service mode: streaming repeated consensus under persistent"
@@ -533,6 +590,7 @@ exp::Report run_service_figure(const Options& opt, std::size_t trials) {
     config.fault = plan.fault;
     config.instances = instances;
     config.workers = opt.threads;
+    pool.note(opt.threads, false);
     const exp::ServiceResult r = exp::run_service(config);
     report.add_point("service",
                      benchutil::service_report_point(index++, config, r));
@@ -560,6 +618,26 @@ Scale scale_from_name(const std::string& name) {
   if (name == "quick") return Scale::kQuick;
   if (name == "large") return Scale::kLarge;
   return Scale::kDefault;
+}
+
+/// "T trials/point" as the report's points hold them; "A-B trials/point"
+/// when the figure caps some points (fig3-scale runs fewer trials at its
+/// largest sizes).
+std::string trials_per_point(const exp::Report& report) {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  bool first = true;
+  for (const exp::ReportSeries& series : report.series()) {
+    for (const exp::ReportPoint& point : series.points) {
+      const std::size_t t = point.aggregate.trials;
+      lo = first ? t : std::min(lo, t);
+      hi = std::max(hi, t);
+      first = false;
+    }
+  }
+  return (lo == hi ? std::to_string(hi)
+                   : std::to_string(lo) + "-" + std::to_string(hi)) +
+         " trials/point";
 }
 
 /// fig2 pins seed 13 unless --seed was given (see run_fig2); the shard
@@ -731,24 +809,25 @@ int main(int argc, char** argv) {
     }
 
     exp::Report report;
+    Pool pool;
     if (opt.figure == "fig1a") {
-      report = run_fig1a(opt, trials);
+      report = run_fig1a(opt, trials, pool);
     } else if (opt.figure == "fig1b") {
-      report = run_fig1b(opt, trials);
+      report = run_fig1b(opt, trials, pool);
     } else if (opt.figure == "fig2") {
-      report = run_fig2(opt, trials);
+      report = run_fig2(opt, trials, pool);
     } else if (opt.figure == "fig3") {
-      report = run_fig3(opt, trials);
+      report = run_fig3(opt, trials, pool);
     } else if (opt.figure == "fig3-scale") {
-      report = run_fig3_scale(opt, trials);
+      report = run_fig3_scale(opt, trials, pool);
     } else if (opt.figure == "fault-matrix") {
-      report = run_fault_matrix(opt, trials);
+      report = run_fault_matrix(opt, trials, pool);
     } else if (opt.figure == "recovery-matrix") {
-      report = run_recovery_matrix(opt, trials);
+      report = run_recovery_matrix(opt, trials, pool);
     } else if (opt.figure == "adaptive") {
-      report = run_adaptive(opt, trials);
+      report = run_adaptive(opt, trials, pool);
     } else if (opt.figure == "service") {
-      report = run_service_figure(opt, trials);
+      report = run_service_figure(opt, trials, pool);
     } else {
       std::fprintf(stderr,
                    "%s --figure=%s: unknown figure (known: fig1a, fig1b,"
@@ -801,12 +880,15 @@ int main(int argc, char** argv) {
     for (const std::string& path : report.write_all(opt.out)) {
       std::printf("wrote %s\n", path.c_str());
     }
-    std::printf("[%s done in %.1fs: %zu trials/point x %zu points on %zu"
-                " %s]\n",
-                opt.figure.c_str(), watch.seconds(), trials,
-                report.total_points(),
-                opt.procs > 1 ? opt.procs : opt.threads,
-                opt.procs > 1 ? "process(es)" : "thread(s)");
+    const std::string ran_on =
+        opt.merge ? "replayed from " + std::to_string(opt.merge_files.size()) +
+                        " shard file(s)"
+                  : "on " + std::to_string(pool.workers) +
+                        (pool.procs ? " process(es)" : " thread(s)");
+    std::printf("[%s done in %.1fs: %s x %zu points %s]\n",
+                opt.figure.c_str(), watch.seconds(),
+                trials_per_point(report).c_str(), report.total_points(),
+                ran_on.c_str());
 
     if (opt.timing) {
       // One-line setup-vs-run split accumulated across this figure's

@@ -5,7 +5,7 @@
 //   fba_sim --protocol=aer --n=512 --model=async --fault=lossy-5pct
 //   fba_sim --protocol=aer --n=512 --trials=100 --threads=8
 //   fba_sim --protocol=ba --n=1024 --reduction=aer
-//   fba_sim --protocol=flood|sqrt|snowball --n=256 --corrupt=0.1
+//   fba_sim --protocol=flood|sqrt --n=256 --corrupt=0.1
 //   fba_sim --protocol=ae --n=512 --attack=equivocate
 //
 // Flags (all optional): --n, --seed, --corrupt (fraction), --know
@@ -99,8 +99,7 @@ benchutil::CommonSpec sim_spec() {
   spec.description =
       "run any protocol under any timing model and adversary";
   spec.extra_usage =
-      "  --protocol=NAME    aer | ba | ae | flood | sqrt | snowball"
-      " (default aer)\n"
+      "  --protocol=NAME    aer | ba | ae | flood | sqrt (default aer)\n"
       "  --n=N              network size (default 256)\n"
       "  --seed=N           base seed (default 1)\n"
       "  --corrupt=F        corrupt fraction t/n (default 0.08)\n"
@@ -361,8 +360,7 @@ int run_sim(int argc, char** argv) {
     if (!opt.json.empty()) {
       std::fprintf(stderr,
                    "--json is not supported for the AE tournament (its report"
-                   " shape differs); it applies to aer/ba/flood/sqrt/"
-                   "snowball\n");
+                   " shape differs); it applies to aer/ba/flood/sqrt\n");
       return 2;
     }
     if (opt.fault != "none") {
@@ -476,8 +474,6 @@ int run_sim(int argc, char** argv) {
     trial = exp::run_flood_trial;
   } else if (opt.protocol == "sqrt") {
     trial = exp::run_sqrtsample_trial;
-  } else if (opt.protocol == "snowball") {
-    trial = exp::run_snowball_trial;
   } else {
     std::fprintf(stderr, "unknown protocol: %s\n", opt.protocol.c_str());
     return 2;
@@ -513,8 +509,6 @@ int run_sim(int argc, char** argv) {
     report = baseline::run_flood(cfg, make_attack(opt.attack));
   } else if (opt.protocol == "sqrt") {
     report = baseline::run_sqrtsample(cfg, make_attack(opt.attack));
-  } else if (opt.protocol == "snowball") {
-    report = baseline::run_snowball(cfg, make_attack(opt.attack));
   }
   print_report(opt.protocol.c_str(), report);
   if (!opt.json.empty()) {

@@ -1,7 +1,7 @@
 // Figure 2 walk-through: print one node's quorums and follow a verification
-// pull hop by hop, using the sampler API directly — a smaller, example-sized
-// sibling of bench/bench_fig2_trace.cpp aimed at explaining the protocol's
-// message flow to a new reader.
+// pull hop by hop, using the sampler API directly — an example-sized
+// companion of `fba_repro --figure=fig2` (which measures the per-kind
+// traffic) aimed at explaining the protocol's message flow to a new reader.
 //
 //   $ ./pushpull_trace
 #include <cstdio>

@@ -123,12 +123,6 @@ PollStuffStrategy::PollStuffStrategy(const aer::AerWorldView& view,
       label_search_budget_(label_search_budget),
       eager_(eager) {}
 
-std::size_t PollStuffStrategy::victims_saturated() const {
-  std::size_t count = 0;
-  for (std::size_t units : burned_) count += units >= budget_estimate_;
-  return count;
-}
-
 void PollStuffStrategy::on_setup(AdvContext& ctx) {
   if (!eager_) return;
   // Strike first: setup-time sends precede all honest round-0 traffic, so

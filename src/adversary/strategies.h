@@ -92,8 +92,6 @@ class PollStuffStrategy final : public Strategy {
   void on_observe(AdvContext& ctx, const sim::Envelope& env) override;
   void on_round(AdvContext& ctx, Round round, bool rushing) override;
 
-  /// Victims whose budget the coalition saturated.
-  std::size_t victims_saturated() const;
   std::size_t strikes_launched() const { return strikes_launched_; }
 
  private:

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "aer/runner.h"
-#include "support/table.h"
 
 namespace fba::aer {
 
@@ -348,26 +347,6 @@ AerReport run_aer_world(AerWorld& world, const StrategyFactory& make_strategy) {
     fill_aer_specific(report, world, nodes);
   };
   return run_world_protocol(world, make_actor, make_strategy, post_run);
-}
-
-std::vector<std::string> report_header() {
-  return {"protocol", "n",         "t",          "d",       "time",
-          "bits/node", "max bits", "imbalance",  "decided", "agree"};
-}
-
-std::vector<std::string> report_row(const std::string& label,
-                                    const AerReport& r) {
-  return {label,
-          Table::num(static_cast<std::uint64_t>(r.n)),
-          Table::num(static_cast<std::uint64_t>(r.t)),
-          Table::num(static_cast<std::uint64_t>(r.d)),
-          Table::num(r.completion_time),
-          Table::num(r.amortized_bits, 0),
-          Table::num(r.sent_bits.max, 0),
-          Table::num(r.sent_bits.imbalance(), 2),
-          Table::num(static_cast<std::uint64_t>(r.decided_count)) + "/" +
-              Table::num(static_cast<std::uint64_t>(r.correct_count)),
-          r.agreement ? "yes" : "NO"};
 }
 
 }  // namespace fba::aer

@@ -5,7 +5,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "adversary/adversary.h"
@@ -179,11 +178,5 @@ bool note_runtime_corruption(AerWorld& world, NodeId node);
 /// all Figure 1 rows are computed identically.
 void fill_outcome_and_traffic(AerReport& report, const AerWorld& world,
                               const TrafficMetrics& metrics);
-
-/// Renders the headline fields of a report as one table row; benches use it
-/// to print Figure 1-style series.
-std::vector<std::string> report_row(const std::string& label,
-                                    const AerReport& report);
-std::vector<std::string> report_header();
 
 }  // namespace fba::aer

@@ -1063,10 +1063,6 @@ void Report::write_json(const std::string& path) const {
   write_file(path, to_json());
 }
 
-void Report::write_csv(const std::string& path) const {
-  write_file(path, to_csv());
-}
-
 std::vector<std::string> Report::write_all(const std::string& dir) const {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);

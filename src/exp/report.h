@@ -96,7 +96,7 @@ struct ReportSeries {
 };
 
 struct ReportMeta {
-  std::string tool;    ///< emitting binary ("fba_repro", "bench_fig1b_ba").
+  std::string tool;    ///< emitting binary ("fba_repro", "bench_push_phase").
   std::string figure;  ///< artifact id: "fig1b", "push-phase", ...
   std::string title;   ///< human-readable one-liner.
   std::uint64_t base_seed = 0;
@@ -210,7 +210,6 @@ class Report {
   /// needed); returns the paths written.
   std::vector<std::string> write_all(const std::string& dir) const;
   void write_json(const std::string& path) const;
-  void write_csv(const std::string& path) const;
 
   /// Compares this report's points against `baseline` by series name and
   /// point label: fingerprint-identical points short-circuit the

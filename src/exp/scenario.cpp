@@ -6,7 +6,6 @@
 #include "adversary/adaptive.h"
 #include "adversary/strategies.h"
 #include "baseline/flood.h"
-#include "baseline/snowball.h"
 #include "baseline/sqrtsample.h"
 #include "exp/arena.h"
 
@@ -48,7 +47,7 @@ const std::vector<ScenarioEntry>& attack_registry() {
        "tight-budget poll stuffing + targeted delays under async (Lemmas 6/8)"},
       {"wrong", "wrong-answer safety attack (Lemma 7)"},
       {"skew", "load-skew quorum seizure against node 0 (Figure 1a)"},
-      {"skew-heavy", "skew with bench_fig1a's larger string-search budget"},
+      {"skew-heavy", "skew with a doubled string-search budget"},
       {"combo", "junk + wrong + stuff composed"},
       {"grudge-silent",
        "silent from ONE corrupt roster held across service instances"},
@@ -452,14 +451,6 @@ TrialOutcome run_sqrtsample_trial(const aer::AerConfig& config,
   return world_trial(config, point,
                      [](aer::AerWorld& world, const aer::StrategyFactory& f) {
                        return baseline::run_sqrtsample_world(world, f);
-                     });
-}
-
-TrialOutcome run_snowball_trial(const aer::AerConfig& config,
-                                const GridPoint& point) {
-  return world_trial(config, point,
-                     [](aer::AerWorld& world, const aer::StrategyFactory& f) {
-                       return baseline::run_snowball_world(world, f);
                      });
 }
 

@@ -131,7 +131,5 @@ TrialOutcome run_flood_trial(const aer::AerConfig& config,
                              const GridPoint& point);
 TrialOutcome run_sqrtsample_trial(const aer::AerConfig& config,
                                   const GridPoint& point);
-TrialOutcome run_snowball_trial(const aer::AerConfig& config,
-                                const GridPoint& point);
 
 }  // namespace fba::exp

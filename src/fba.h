@@ -21,7 +21,6 @@
 #include "adversary/strategies.h"
 #include "ae/committee.h"
 #include "ae/kssv.h"
-#include "ae/phase_king.h"
 #include "aer/config.h"
 #include "aer/messages.h"
 #include "aer/node.h"
@@ -30,7 +29,6 @@
 #include "aer/soa.h"
 #include "ba/ba.h"
 #include "baseline/flood.h"
-#include "baseline/snowball.h"
 #include "baseline/sqrtsample.h"
 #include "exp/aggregate.h"
 #include "exp/arena.h"
@@ -46,7 +44,6 @@
 #include "net/event_queue.h"
 #include "net/message.h"
 #include "net/sync_engine.h"
-#include "sampler/hash_sampler.h"
 #include "sampler/properties.h"
 #include "sampler/sampler.h"
 #include "sampler/tables.h"

@@ -44,7 +44,12 @@ enum class MessageKind : std::uint8_t {
   kPkKing,
   kFinalSlice,
 
-  // Standalone phase king (ae/phase_king.h).
+  // Retired: no protocol sends kPkExchange, kPkDecree, kSnowQuery or
+  // kSnowReply any more (a standalone phase king and a Snowball baseline
+  // used them). They keep their slots and kind-table rows because report
+  // JSON lists every kind by name in enum order, the committed baselines
+  // carry "pk-exchange" and "snow-q" and Report::from_json checks names and
+  // order, and Aggregate::fingerprint hashes kinds 0..kPing unconditionally.
   kPkExchange,
   kPkDecree,
 
@@ -52,8 +57,8 @@ enum class MessageKind : std::uint8_t {
   kBcast,      ///< FLOOD-ALL candidate broadcast.
   kQuery,      ///< SQRT-SAMPLE query (header-only).
   kReply,      ///< SQRT-SAMPLE reply.
-  kSnowQuery,  ///< Snowball sample query.
-  kSnowReply,  ///< Snowball sample reply.
+  kSnowQuery,  ///< Retired (see kPkExchange).
+  kSnowReply,  ///< Retired (see kPkExchange).
 
   // Test / micro-bench traffic.
   kPing,

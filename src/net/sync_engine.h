@@ -29,7 +29,7 @@ struct SyncConfig {
   std::uint64_t seed = 1;
   bool rushing_adversary = true;
   Round max_rounds = 10000;
-  /// Round-scheduled protocols (phase king, the AE tournament) progress on
+  /// Round-scheduled protocols (the AE tournament's phase king) progress on
   /// the round clock even through silent rounds (e.g. a corrupt king says
   /// nothing): quiescence only stops the run after this many rounds.
   Round min_rounds = 0;

@@ -5,7 +5,7 @@
 // Figure 3). Our samplers are keyed pseudorandom constructions, so the
 // checkers here play the role of the existence proofs: they measure, over a
 // concrete instance, how close the instance is to the guaranteed bounds.
-// They power tests and bench_fig3_expansion.
+// They power tests and `fba_repro --figure=fig3`.
 #pragma once
 
 #include <cstdint>

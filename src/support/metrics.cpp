@@ -90,10 +90,6 @@ LoadStats TrafficMetrics::sent_bits_stats() const {
   return summarize_u64_into(sent_bits_, stats_scratch_);
 }
 
-LoadStats TrafficMetrics::received_bits_stats() const {
-  return summarize_u64_into(received_bits_, stats_scratch_);
-}
-
 void DecisionLog::reset(std::size_t n) {
   decided_.assign(n, false);
   values_.assign(n, kNoString);

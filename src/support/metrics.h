@@ -82,7 +82,6 @@ class TrafficMetrics {
   double amortized_bits() const;
 
   LoadStats sent_bits_stats() const;
-  LoadStats received_bits_stats() const;
 
   std::uint64_t sent_bits(NodeId node) const { return sent_bits_.at(node); }
   std::uint64_t received_bits(NodeId node) const {

@@ -73,15 +73,6 @@ long read_some(int fd, std::string& out, std::size_t cap) {
   }
 }
 
-bool read_exact(int fd, std::string& out, std::size_t len) {
-  while (len > 0) {
-    const long n = read_some(fd, out, len);
-    if (n <= 0) return false;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 void kill_and_reap(ChildProc& child, int sig) {
   if (child.pid > 0) {
     kill(child.pid, sig);

@@ -38,10 +38,6 @@ bool write_all(int fd, const void* data, std::size_t len);
 /// Returns the byte count, 0 on EOF, -1 on error.
 long read_some(int fd, std::string& out, std::size_t cap);
 
-/// Blocking EINTR-safe read of exactly `len` bytes appended to `out`;
-/// false on EOF or error before `len` arrived.
-bool read_exact(int fd, std::string& out, std::size_t len);
-
 /// Sends `sig` (when the child is alive) and reaps it, blocking until the
 /// zombie is collected; closes the parent fd. Safe to call twice.
 void kill_and_reap(ChildProc& child, int sig);

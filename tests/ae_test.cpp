@@ -4,6 +4,8 @@
 // gstring).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <set>
 
 #include "ae/kssv.h"
@@ -183,6 +185,125 @@ TEST(AeRunTest, NonRushingRunsToo) {
 
 TEST(AeRunTest, RejectsTinyNetworks) {
   EXPECT_THROW(run_ae(config_for(8)), ConfigError);
+}
+
+// ----- the phase king inside each committee ------------------------------------
+
+/// What correct nodes sent during a run: each correct root's contribution
+/// and, per committee, every value its correct members announced.
+struct CommitteeTap {
+  std::map<std::size_t, std::uint64_t> contrib;
+  std::map<std::size_t, std::set<std::uint64_t>> announced;
+};
+
+/// Splits every committee in half. Corrupt root members contribute A = 0 to
+/// the first half and B = the slice mask to the second; corrupt members do
+/// the same in every exchange round and in every king round they own. The
+/// tap records correct roots' kContrib and correct members' kFinalSlice.
+class SplitCommitteeStrategy final : public adv::Strategy {
+ public:
+  SplitCommitteeStrategy(const AeWorldView& view, CommitteeTap* tap)
+      : shared_(view.shared), tap_(tap), corrupt_(view.shared->config.n) {
+    for (NodeId id : view.corrupt) corrupt_[id] = true;
+  }
+
+  void on_setup(adv::AdvContext& ctx) override {
+    const AeLayout& layout = shared_->layout;
+    for (std::size_t i = 0; i < layout.root.size(); ++i) {
+      if (!corrupt_[layout.root[i]]) continue;
+      split(ctx, layout.root[i], i,
+            [i](std::uint64_t v) { return contrib_msg(i, v); });
+    }
+  }
+
+  void on_round(adv::AdvContext& ctx, Round round, bool rushing) override {
+    (void)rushing;
+    const AeSchedule& sched = shared_->schedule;
+    const AeLayout& layout = shared_->layout;
+    for (std::size_t i = 0; i < layout.committees.size(); ++i) {
+      const auto& members = layout.committees[i];
+      for (NodeId z : members) {
+        if (!corrupt_[z]) continue;
+        for (std::size_t p = 0; p < sched.phases; ++p) {
+          if (round == sched.exchange_round(p)) {
+            split(ctx, z, i,
+                  [i, p](std::uint64_t v) { return pk_value_msg(i, p, v); });
+          }
+          if (round == sched.king_round(p) && sched.king(members, p) == z) {
+            split(ctx, z, i,
+                  [i, p](std::uint64_t v) { return pk_king_msg(i, p, v); });
+          }
+        }
+      }
+    }
+  }
+
+  void on_observe(adv::AdvContext& ctx, const sim::Envelope& env) override {
+    (void)ctx;
+    if (corrupt_[env.src]) return;
+    if (env.msg.kind == sim::MessageKind::kContrib) {
+      tap_->contrib[env.msg.slice] = env.msg.value;
+    } else if (env.msg.kind == sim::MessageKind::kFinalSlice) {
+      tap_->announced[env.msg.slice].insert(env.msg.value);
+    }
+  }
+
+ private:
+  template <typename Make>
+  void split(adv::AdvContext& ctx, NodeId from, std::size_t slice,
+             const Make& make) {
+    const std::size_t bits = shared_->config.slice_bits();
+    const std::uint64_t b = bits >= 64 ? ~0ull : (1ull << bits) - 1;
+    const auto& members = shared_->layout.committees[slice];
+    for (std::size_t k = 0; k < members.size(); ++k) {
+      ctx.send_from(from, members[k], make(k < members.size() / 2 ? 0 : b));
+    }
+  }
+
+  AeShared* shared_;
+  CommitteeTap* tap_;
+  std::vector<bool> corrupt_;
+};
+
+TEST(AePhaseKingTest, SplitCommitteesAgreeOnTheRootsSlice) {
+  // kssv.cpp's adopt rule (keep the majority when mult > g/2 + t_c, else
+  // obey the king) at g = 9, so t_c = 2 and three phases. 20% corruption
+  // leaves most committees with one or two corrupt members.
+  std::size_t checked = 0;
+  std::size_t corrupt_roots = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    AeConfig cfg = config_for(128, seed);
+    cfg.committee_size = 9;
+    cfg.corrupt_fraction = 0.2;
+    CommitteeTap tap;
+    const AeRunResult result =
+        run_ae(cfg, [&tap](const AeWorldView& view) {
+          return std::make_unique<SplitCommitteeStrategy>(view, &tap);
+        });
+    std::vector<bool> corrupt(cfg.n);
+    for (NodeId id : result.corrupt) corrupt[id] = true;
+    const AeLayout layout = AeLayout::build(cfg);
+    const std::size_t t_c = (cfg.committee_size - 1) / 4;
+    for (std::size_t i = 0; i < layout.committees.size(); ++i) {
+      std::size_t bad = 0;
+      for (NodeId m : layout.committees[i]) bad += corrupt[m] ? 1 : 0;
+      if (bad > t_c) continue;
+      ++checked;
+      // Agreement: the committee's correct members announce one value.
+      const std::set<std::uint64_t>& values = tap.announced[i];
+      EXPECT_EQ(values.size(), 1u) << "seed " << seed << " committee " << i;
+      if (values.size() != 1) continue;
+      if (corrupt[layout.root[i]]) {
+        ++corrupt_roots;
+        continue;
+      }
+      // Validity: a correct root's slice survives the corrupt members.
+      EXPECT_EQ(*values.begin(), tap.contrib.at(i))
+          << "seed " << seed << " committee " << i;
+    }
+  }
+  EXPECT_GE(checked, 12u * 8);
+  EXPECT_GT(corrupt_roots, 0u);
 }
 
 }  // namespace

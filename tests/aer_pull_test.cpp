@@ -150,15 +150,6 @@ TEST(PullPhaseTest, AmortizedBitsArePolylogNotLinear) {
   EXPECT_TRUE(report.agreement);
 }
 
-TEST(RunnerTest, ReportRowsAreWellFormed) {
-  const AerReport report = run_aer(config_for(Model::kSyncRushing, 1, 64));
-  const auto header = report_header();
-  const auto row = report_row("aer", report);
-  EXPECT_EQ(header.size(), row.size());
-  EXPECT_EQ(row[0], "aer");
-  EXPECT_EQ(row[1], "64");
-}
-
 TEST(RunnerTest, WorldCanBeRerun) {
   // run_aer_world resets decisions, so a prebuilt world can host several
   // protocol executions (as the BA composition does).

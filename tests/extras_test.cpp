@@ -1,64 +1,12 @@
-// Tests for the later additions: the hash-sampler ablation, the Snowball
-// practitioner baseline, histograms, and engine timers.
+// Tests for the later additions: histograms and engine timers.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "baseline/flood.h"
-#include "baseline/snowball.h"
 #include "net/async_engine.h"
 #include "net/sync_engine.h"
-#include "sampler/hash_sampler.h"
-#include "sampler/properties.h"
 #include "support/histogram.h"
 
 namespace fba {
 namespace {
-
-// ----- HashQuorumSampler (the ablation) -----------------------------------------
-
-TEST(HashSamplerTest, QuorumsAreWellFormed) {
-  const auto params = sampler::SamplerParams::defaults(256, 3);
-  sampler::HashQuorumSampler sampler(params, 0x77);
-  for (NodeId x = 0; x < 64; ++x) {
-    const auto q = sampler.quorum(0xfeed, x);
-    EXPECT_EQ(q.size(), params.d);
-    for (NodeId m : q.members) EXPECT_LT(m, 256u);
-  }
-}
-
-TEST(HashSamplerTest, TargetsInvertQuorums) {
-  const auto params = sampler::SamplerParams::defaults(128, 3);
-  sampler::HashQuorumSampler sampler(params, 0x77);
-  const auto targets = sampler.targets(0xfeed, 9);
-  for (NodeId x : targets) {
-    EXPECT_TRUE(sampler.quorum(0xfeed, x).contains(9));
-  }
-  // And completeness: every quorum containing 9 is in the target list.
-  std::size_t expected = 0;
-  for (NodeId x = 0; x < 128; ++x) {
-    expected += sampler.quorum(0xfeed, x).contains(9) ? 1 : 0;
-  }
-  EXPECT_EQ(targets.size(), expected);
-}
-
-TEST(HashSamplerTest, LoadsSpreadUnlikePermutationSampler) {
-  // The design-decision ablation (DESIGN.md §6): hash sampling gives
-  // Poisson(d) slot loads — some node is overloaded, some underloaded —
-  // while the permutation sampler is exactly d everywhere.
-  const auto params = sampler::SamplerParams::defaults(1024, 3);
-  sampler::HashQuorumSampler hashed(params, 0x77);
-  const auto loads = hashed.slot_loads(0xfeed);
-  const auto max_load = *std::max_element(loads.begin(), loads.end());
-  const auto min_load = *std::min_element(loads.begin(), loads.end());
-  EXPECT_GT(max_load, params.d);      // overload exists...
-  EXPECT_LT(min_load, params.d);      // ...and so does underload.
-  EXPECT_LT(max_load, 4 * params.d);  // but within the Poisson envelope.
-
-  sampler::QuorumSampler permuted(params, 0x77);
-  const auto report = sampler::check_overload(permuted, 0xfeed);
-  EXPECT_EQ(report.max_load, params.d);  // exact, by construction
-}
 
 // ----- Histogram ------------------------------------------------------------------
 
@@ -160,80 +108,6 @@ TEST(TimerTest, AsyncTimersFireAtExactTime) {
   ASSERT_EQ(actor->fired.size(), 2u);
   EXPECT_DOUBLE_EQ(actor->fired[0].second, 1.0);
   EXPECT_DOUBLE_EQ(actor->fired[1].second, 2.5);
-}
-
-// ----- Snowball -------------------------------------------------------------------
-
-aer::AerConfig snow_config(std::size_t n, std::uint64_t seed,
-                           aer::Model model = aer::Model::kSyncRushing) {
-  aer::AerConfig cfg;
-  cfg.n = n;
-  cfg.seed = seed;
-  cfg.model = model;
-  cfg.max_rounds = 400;
-  return cfg;
-}
-
-class SnowballSeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SnowballSeedSweep, ConvergesToGstring) {
-  const aer::AerReport r =
-      baseline::run_snowball(snow_config(256, GetParam()));
-  EXPECT_TRUE(r.agreement);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SnowballSeedSweep,
-                         ::testing::Values(1, 2, 3, 4));
-
-TEST(SnowballTest, WorksUnderAsync) {
-  const aer::AerReport r =
-      baseline::run_snowball(snow_config(128, 5, aer::Model::kAsync));
-  EXPECT_TRUE(r.agreement);
-}
-
-TEST(SnowballTest, CheaperThanFloodPerNode) {
-  aer::AerWorld snow_world = aer::build_aer_world(snow_config(512, 6));
-  const aer::AerReport snow = baseline::run_snowball_world(snow_world);
-  aer::AerWorld flood_world = aer::build_aer_world(snow_config(512, 6));
-  const aer::AerReport flood = baseline::run_flood_world(flood_world);
-  EXPECT_TRUE(snow.agreement);
-  EXPECT_LT(snow.amortized_bits, flood.amortized_bits / 4);
-}
-
-TEST(SnowballTest, LoadBalanced) {
-  const aer::AerReport r = baseline::run_snowball(snow_config(256, 7));
-  EXPECT_LT(r.sent_bits.imbalance(), 2.0);
-}
-
-class SnowJunkReplyStrategy final : public adv::Strategy {
- public:
-  explicit SnowJunkReplyStrategy(const aer::AerWorldView& view)
-      : shared_(view.shared) {
-    const std::size_t bits = shared_->table.get(view.gstring).size();
-    Rng rng = Rng(shared_->config.seed).split(0x5e77ull);
-    junk_ = shared_->table.intern(BitString::random(bits, rng));
-  }
-
-  void on_deliver_to_corrupt(adv::AdvContext& ctx,
-                             const sim::Envelope& env) override {
-    const auto* q = env.msg.as(sim::MessageKind::kSnowQuery);
-    if (q == nullptr) return;
-    ctx.send_from(env.dst, env.src, baseline::snow_reply_msg(junk_, q->phase));
-  }
-
- private:
-  aer::AerShared* shared_;
-  StringId junk_;
-};
-
-TEST(SnowballTest, SafetyUnderJunkReplies) {
-  // Corrupt nodes answering junk shift confidence but cannot assemble an
-  // alpha-quorum for junk at t/n = 8%: nobody decides a wrong value.
-  const aer::AerReport r = baseline::run_snowball(
-      snow_config(256, 8), [](const aer::AerWorldView& view) {
-        return std::make_unique<SnowJunkReplyStrategy>(view);
-      });
-  EXPECT_EQ(r.decided_gstring, r.decided_count);
 }
 
 }  // namespace

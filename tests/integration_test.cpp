@@ -6,7 +6,6 @@
 #include "adversary/strategies.h"
 #include "ba/ba.h"
 #include "baseline/flood.h"
-#include "baseline/snowball.h"
 #include "baseline/sqrtsample.h"
 
 namespace fba {
@@ -28,9 +27,6 @@ aer::AerReport run_flood_case(aer::AerWorld& world) {
 aer::AerReport run_sqrt_case(aer::AerWorld& world) {
   return baseline::run_sqrtsample_world(world);
 }
-aer::AerReport run_snowball_case(aer::AerWorld& world) {
-  return baseline::run_snowball_world(world);
-}
 
 class EveryReductionEveryModel
     : public ::testing::TestWithParam<std::tuple<int, aer::Model>> {};
@@ -41,7 +37,6 @@ TEST_P(EveryReductionEveryModel, AgreesOnTheSameWorld) {
       {"aer", run_aer_case},
       {"flood", run_flood_case},
       {"sqrt", run_sqrt_case},
-      {"snowball", run_snowball_case},
   };
   const ReductionCase& c = kCases[reduction_idx];
 
@@ -58,7 +53,7 @@ TEST_P(EveryReductionEveryModel, AgreesOnTheSameWorld) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, EveryReductionEveryModel,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3),
+    ::testing::Combine(::testing::Values(0, 1, 2),
                        ::testing::Values(aer::Model::kSyncNonRushing,
                                          aer::Model::kSyncRushing,
                                          aer::Model::kAsync)));

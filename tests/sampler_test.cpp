@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <set>
 
-#include "sampler/hash_sampler.h"
 #include "sampler/properties.h"
 #include "sampler/sampler.h"
 #include "sampler/tables.h"
@@ -375,22 +374,6 @@ TEST(SharedTablesTest, ResetRebindsToFreshSuite) {
   expect_view_matches(tables.push.row(0, 9, 4), second.push.quorum(9, 4));
   expect_view_matches(tables.push.row(0, 9, 100), second.push.quorum(9, 100));
   expect_view_matches(tables.poll.row(2, 17), second.poll.poll_list(2, 17));
-}
-
-TEST(SharedTablesTest, HashQuorumSamplerAblationIsUnaffected) {
-  // The ablation sampler bypasses the dense tables entirely; pin a few of
-  // its quorums so the table refactor provably left it untouched.
-  HashQuorumSampler hash(params_for(256, 7), 0x11);
-  const Quorum before = hash.quorum(0x5eed, 3);
-  EXPECT_EQ(before.size(), hash.d());
-  for (NodeId m : before.members) EXPECT_LT(m, 256u);
-  // Deterministic across instances (same params, same tag).
-  HashQuorumSampler again(params_for(256, 7), 0x11);
-  EXPECT_EQ(again.quorum(0x5eed, 3).members, before.members);
-  // Exhaustive inversion still matches membership.
-  const NodeId y = before.members[0];
-  const auto targets = hash.targets(0x5eed, y);
-  EXPECT_TRUE(std::find(targets.begin(), targets.end(), 3u) != targets.end());
 }
 
 TEST(SamplerSuiteTest, BundlesThreeDecorrelatedSamplers) {
