@@ -605,9 +605,10 @@ exp::Report run_service_figure(const Options& opt, std::size_t trials,
 
 // ---- driver -----------------------------------------------------------------
 
-/// The figures --shard/--merge can split: exactly those whose trials run
-/// through exp::Sweep (fig3 drives exp::run_indexed directly; fig3-scale
-/// and service loop by hand with non-uniform trial counts).
+/// The figures --shard/--merge can split and --procs can fork: exactly those
+/// whose trials run through exp::Sweep (fig3 drives exp::run_indexed
+/// directly; fig3-scale and service loop by hand with non-uniform trial
+/// counts).
 bool shardable_figure(const std::string& figure) {
   return figure == "fig1a" || figure == "fig1b" || figure == "fig2" ||
          figure == "fault-matrix" || figure == "recovery-matrix" ||
@@ -782,6 +783,15 @@ int main(int argc, char** argv) {
                    merged.total_cells(), opt.merge_files.size(),
                    opt.figure.c_str());
       exp::ShardIo::instance().start_replay(std::move(merged));
+    }
+    if (opt.procs > 1 && !shardable_figure(opt.figure)) {
+      std::fprintf(stderr,
+                   "fba_repro: --procs forks workers only for the"
+                   " Sweep-driven figures (fig1a, fig1b, fig2,"
+                   " fault-matrix, recovery-matrix, adaptive), not"
+                   " \"%s\"\n",
+                   opt.figure.c_str());
+      return 2;
     }
 
     // Validate scenario names before any sweep runs.

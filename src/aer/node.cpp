@@ -1,6 +1,7 @@
 #include "aer/node.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "net/network.h"
 
@@ -25,7 +26,6 @@ void AerNode::reset(const AerShared* shared, NodeId self,
   current_ = initial_candidate;
   has_decided_ = false;
   decided_ = kNoString;
-  d_ = static_cast<std::uint32_t>(shared->config.resolved_d());
 
   push_tallies_.clear();
   candidates_.clear();
@@ -35,24 +35,9 @@ void AerNode::reset(const AerShared* shared, NodeId self,
   relay_.clear();
   deferred_.clear();
   deferred_peak_ = 0;
-  counted_arena_.clear();
 
   candidates_.push_back(initial_);
   in_list_.insert(initial_);
-}
-
-std::uint32_t AerNode::new_counted_span() {
-  const auto off = static_cast<std::uint32_t>(counted_arena_.size());
-  counted_arena_.resize(counted_arena_.size() + d_);
-  return off;
-}
-
-bool AerNode::already_counted(const NodeId* counted, std::uint32_t count,
-                              NodeId who) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (counted[i] == who) return true;
-  }
-  return false;
 }
 
 std::size_t AerNode::answers_sent(StringId s) const {
@@ -65,7 +50,7 @@ std::optional<AerNode::PullStatus> AerNode::pull_status(StringId s) const {
   if (pull == nullptr) return std::nullopt;
   PullStatus status;
   status.r = pull->r;
-  status.answered_members = pull->answered;
+  status.answered_members = std::popcount(pull->answered);
   status.answered_slots = pull->slots;
   return status;
 }
@@ -130,15 +115,11 @@ void AerNode::handle_push(sim::Context& ctx, NodeId from, const sim::Message& m)
   // Filter: only members of I(s, self) may push s to us; each sender is
   // credited once, with its slot multiplicity.
   const sampler::QuorumView quorum = shared_->push_quorum(m.s, self_);
-  const std::size_t mult = quorum.multiplicity(from);
-  if (mult == 0) return;  // not in our Push Quorum for s: ignore silently
-  bool created = false;
-  PushTally& tally = push_tallies_.get_or_create(m.s, created);
-  if (created) tally.counted_off = new_counted_span();
-  NodeId* counted = counted_at(tally.counted_off);
-  if (already_counted(counted, tally.counted, from)) return;
-  counted[tally.counted++] = from;
-  tally.slots += static_cast<std::uint32_t>(mult);
+  const sampler::QuorumView::Hit hit = quorum.locate(from);
+  if (hit.count == 0) return;  // not in our Push Quorum for s: ignore silently
+  PushTally& tally = push_tallies_.get_or_create(m.s);
+  if (!credit(tally.counted, hit.pos)) return;
+  tally.slots += hit.count;
   if (tally.slots * 2 > quorum.size()) {
     // The tally is no longer needed: membership in L_x short-circuits every
     // later push for s at the top of this handler.
@@ -156,9 +137,7 @@ void AerNode::accept_candidate(sim::Context& ctx, StringId s) {
 
 void AerNode::start_pull(sim::Context& ctx, StringId s) {
   if (my_pulls_.contains(s)) return;
-  bool created = false;
-  MyPull& pull = my_pulls_.get_or_create(s, created);
-  pull.answered_off = new_counted_span();
+  MyPull& pull = my_pulls_.get_or_create(s);
   pull.r = shared_->samplers.poll.random_label(ctx.rng());
 
   const sim::Message poll = poll_msg(s, pull.r);
@@ -179,12 +158,10 @@ void AerNode::handle_answer(sim::Context& ctx, NodeId from,
   MyPull* pull = my_pulls_.find(m.s);
   if (pull == nullptr) return;  // never asked about s
   const sampler::QuorumView poll_list = shared_->poll_list(self_, pull->r);
-  const std::size_t mult = poll_list.multiplicity(from);
-  if (mult == 0) return;  // answer from outside J(x, r_{x,s})
-  NodeId* answered = counted_at(pull->answered_off);
-  if (already_counted(answered, pull->answered, from)) return;  // one per member
-  answered[pull->answered++] = from;
-  pull->slots += static_cast<std::uint32_t>(mult);
+  const sampler::QuorumView::Hit hit = poll_list.locate(from);
+  if (hit.count == 0) return;  // answer from outside J(x, r_{x,s})
+  if (!credit(pull->answered, hit.pos)) return;  // one per member
+  pull->slots += hit.count;
   if (pull->slots * 2 > poll_list.size()) decide(ctx, m.s);
 }
 
@@ -252,25 +229,34 @@ void AerNode::forward_pull(sim::Context& ctx, NodeId x, StringId s,
 // ----- pull phase: relay, second hop (Algorithm 2) ---------------------------
 
 void AerNode::handle_fw1(sim::Context& ctx, NodeId from, const sim::Message& m) {
-  const sampler::QuorumView h_w = shared_->pull_quorum(m.s, m.b);
-  if (!h_w.contains(self_)) return;  // this in H(s, w)
+  // The tally exists only once a copy under its label passed all three
+  // checks, and two of them do not depend on the sender, so a copy under
+  // that label (vouched) re-checks only its sender. The fired test stays
+  // behind the label test: a copy under any other label walks every check,
+  // building the same sampler rows as before.
+  RelayState::Fw1Tally* tally = relay_.find_fw1(m.a, m.s, m.b);
+  const bool vouched = tally != nullptr && tally->r == m.r;
+  if (vouched && tally->fired) return;
+  if (!vouched && !shared_->pull_quorum(m.s, m.b).contains(self_)) {
+    return;  // this in H(s, w)
+  }
   const sampler::QuorumView h_x = shared_->pull_quorum(m.s, m.a);
-  const std::size_t mult = h_x.multiplicity(from);
-  if (mult == 0) return;  // y in H(s, x)
-  if (!shared_->poll_list(m.a, m.r).contains(m.b)) return;  // w in J(x,r)
+  const sampler::QuorumView::Hit hit = h_x.locate(from);
+  if (hit.count == 0) return;  // y in H(s, x)
+  if (!vouched && !shared_->poll_list(m.a, m.r).contains(m.b)) {
+    return;  // w in J(x, r)
+  }
 
   // Vouching is tallied even when s is not (yet) our belief; the Fw2 is only
   // emitted while s = s_this (now or after deciding on s).
-  bool created = false;
-  RelayState::Fw1Tally& tally = relay_.fw1(m.a, m.s, m.b, created);
-  if (created) tally.counted_off = new_counted_span();
-  NodeId* counted = counted_at(tally.counted_off);
-  if (tally.fired || already_counted(counted, tally.counted, from)) return;
-  if (tally.counted == 0) tally.r = m.r;
-  counted[tally.counted++] = from;
-  tally.slots += static_cast<std::uint32_t>(mult);
-  if (m.s == current_ && tally.slots * 2 > h_x.size()) {
-    tally.fired = true;  // forward only once
+  if (tally == nullptr) {
+    tally = &relay_.fw1(m.a, m.s, m.b);
+    tally->r = m.r;
+  }
+  if (tally->fired || !credit(tally->counted, hit.pos)) return;
+  tally->slots += hit.count;
+  if (m.s == current_ && tally->slots * 2 > h_x.size()) {
+    tally->fired = true;  // forward only once
     ctx.send(m.b, fw2_msg(m.a, m.s, m.r));
   }
 }
@@ -280,18 +266,14 @@ void AerNode::handle_fw1(sim::Context& ctx, NodeId from, const sim::Message& m) 
 void AerNode::handle_fw2(sim::Context& ctx, NodeId from, const sim::Message& m) {
   if (!shared_->poll_list(m.a, m.r).contains(self_)) return;  // in J(x,r)
   const sampler::QuorumView h_self = shared_->pull_quorum(m.s, self_);
-  const std::size_t mult = h_self.multiplicity(from);
-  if (mult == 0) return;  // z in H(s, this)
+  const sampler::QuorumView::Hit hit = h_self.locate(from);
+  if (hit.count == 0) return;  // z in H(s, this)
 
   // Evidence is tallied regardless of current belief; answers require
   // s = s_this (initially our candidate, after deciding the decided value).
-  bool created = false;
-  RelayState::Responder& st = relay_.responder(m.a, m.s, created);
-  if (created) st.counted_off = new_counted_span();
-  NodeId* counted = counted_at(st.counted_off);
-  if (st.answered || already_counted(counted, st.counted, from)) return;
-  counted[st.counted++] = from;
-  st.slots += static_cast<std::uint32_t>(mult);
+  RelayState::Responder& st = relay_.responder(m.a, m.s);
+  if (st.answered || !credit(st.counted, hit.pos)) return;
+  st.slots += hit.count;
   if (m.s == current_ && st.slots * 2 > h_self.size() && st.polled) {
     st.answered = true;
     emit_answer(ctx, m.a, m.s);
@@ -300,9 +282,7 @@ void AerNode::handle_fw2(sim::Context& ctx, NodeId from, const sim::Message& m) 
 
 void AerNode::handle_poll(sim::Context& ctx, NodeId from, const sim::Message& m) {
   if (!shared_->poll_list(from, m.r).contains(self_)) return;
-  bool created = false;
-  RelayState::Responder& st = relay_.responder(from, m.s, created);
-  if (created) st.counted_off = new_counted_span();
+  RelayState::Responder& st = relay_.responder(from, m.s);
   if (st.polled) return;
   st.polled = true;
   // Necessary in the asynchronous case: the Fw2 majority may have formed

@@ -20,16 +20,17 @@
 // State layout (the per-delivery hot path touches no node-based container):
 //   - per-string tallies (push, my pulls, answer counts, L_x membership)
 //     sit behind open-addressed FlatMap64s keyed by the dense StringId;
-//     per-tally "who already counted" lists are fixed-capacity spans in one
-//     bump arena (a tally credits at most d distinct members).
+//     each tally records who already counted in a 64-bit mask over the
+//     members' positions in its fixed quorum (aer::credit; d <= 64).
 //   - quorum membership/multiplicity checks read the dense sampler tables
 //     through AerShared (no hashing, no allocation).
 //   - the relay roles (flooding guard, pending pulls, Fw1 tallies,
 //     responder state) live in one RelayState (aer/relay_state.h):
-//     arrival-ordered vectors behind one FlatMap64 index. Post-decision
-//     service sends in an order that is pinned behavior (the golden
-//     fingerprints); RelayState::serve reproduces it by replaying each
-//     role's arrival log.
+//     arrival-ordered vectors behind one FlatMap64 index. An Fw1 copy
+//     finds its tally first and, under the tally's label, re-checks only
+//     its sender. Post-decision service sends in an order that is pinned
+//     behavior (the golden fingerprints); RelayState::serve reproduces it
+//     by replaying each role's arrival log.
 #pragma once
 
 #include <cstdint>
@@ -105,18 +106,8 @@ class AerNode final : public sim::Actor {
   bool over_budget(StringId s) const;
   void forward_pull(sim::Context& ctx, NodeId x, StringId s, PollLabel r);
 
-  // -- credited-sender spans: fixed d-capacity slices of counted_arena_ --
-  NodeId* counted_at(std::uint32_t off) { return counted_arena_.data() + off; }
-  const NodeId* counted_at(std::uint32_t off) const {
-    return counted_arena_.data() + off;
-  }
-  std::uint32_t new_counted_span();
-  static bool already_counted(const NodeId* counted, std::uint32_t count,
-                              NodeId who);
-
   const AerShared* shared_;
   NodeId self_ = 0;
-  std::uint32_t d_ = 0;  ///< resolved quorum size (counted-span stride).
   StringId initial_ = kNoString;  ///< s_x: forwarding filter for the pull phase.
   StringId current_ = kNoString;  ///< s_this: initial candidate until decision.
   bool has_decided_ = false;
@@ -124,9 +115,8 @@ class AerNode final : public sim::Actor {
 
   // -- push-phase state --
   struct PushTally {
-    std::uint32_t slots = 0;        ///< quorum slots of I(s, self) that pushed.
-    std::uint32_t counted = 0;      ///< distinct senders already credited.
-    std::uint32_t counted_off = 0;  ///< span in counted_arena_.
+    std::uint64_t counted = 0;  ///< pushers, by position in I(s, self).
+    std::uint32_t slots = 0;    ///< quorum slots of I(s, self) that pushed.
   };
   support::FlatMap64<PushTally> push_tallies_;  ///< keyed by StringId
   std::vector<StringId> candidates_;
@@ -135,9 +125,8 @@ class AerNode final : public sim::Actor {
   // -- requester state (Algorithm 1) --
   struct MyPull {
     PollLabel r = 0;
-    std::uint32_t slots = 0;    ///< poll-list slots covered by answers.
-    std::uint32_t answered = 0; ///< distinct poll-list members that replied.
-    std::uint32_t answered_off = 0;
+    std::uint64_t answered = 0;  ///< members that replied, by position in J.
+    std::uint32_t slots = 0;     ///< poll-list slots covered by answers.
   };
   support::FlatMap64<MyPull> my_pulls_;  ///< keyed by StringId
   support::FlatMap64<std::uint32_t> answer_counts_;  ///< Counts, by StringId
@@ -148,8 +137,6 @@ class AerNode final : public sim::Actor {
   std::vector<std::pair<NodeId, StringId>> deferred_;  ///< over-budget answers
   std::size_t deferred_peak_ = 0;
 
-  /// Backing store for all credited-sender spans (d entries per tally).
-  std::vector<NodeId> counted_arena_;
   /// Scratch for push-target evaluation (on_start).
   std::vector<NodeId> targets_scratch_;
 };

@@ -65,6 +65,8 @@ void build_world_impl(AerWorld& world, const AerConfig& config,
   sampler::SamplerParams sp =
       sampler::SamplerParams::defaults(n, config.seed, config.c_d);
   sp.d = config.resolved_d();
+  // Tallies credit each quorum member in a 64-bit mask (aer::credit).
+  FBA_REQUIRE(sp.d <= 64, "quorum size d must be at most 64");
 
   if (world.shared == nullptr) {
     world.shared = std::make_unique<AerShared>(config, sp);

@@ -45,31 +45,33 @@ void RelayState::retain_pull(NodeId x, StringId s, PollLabel r) {
   pending_.push_back({xs, r});
 }
 
-RelayState::Fw1Tally& RelayState::fw1(NodeId x, StringId s, NodeId w,
-                                      bool& created) {
+RelayState::Fw1Tally& RelayState::fw1(NodeId x, StringId s, NodeId w) {
   const std::uint64_t xs = pack(x, s);
   std::uint32_t* link = &index_.get_or_create(xs).fw1;
   while (*link != kNone) {
     Fw1Entry& e = fw1_[*link];
-    if (e.w == w) {
-      created = false;
-      return e.tally;
-    }
+    if (e.w == w) return e.tally;
     link = &e.next;
   }
   // Link before appending: the append may move the entry `link` points into.
   *link = static_cast<std::uint32_t>(fw1_.size());
   fw1_.push_back({xs, w, kNone, {}});
-  created = true;
   return fw1_.back().tally;
 }
 
-RelayState::Responder& RelayState::responder(NodeId x, StringId s,
-                                             bool& created) {
+RelayState::Fw1Tally* RelayState::find_fw1(NodeId x, StringId s, NodeId w) {
+  const Slot* slot = index_.find(pack(x, s));
+  if (slot == nullptr) return nullptr;
+  for (std::uint32_t i = slot->fw1; i != kNone; i = fw1_[i].next) {
+    if (fw1_[i].w == w) return &fw1_[i].tally;
+  }
+  return nullptr;
+}
+
+RelayState::Responder& RelayState::responder(NodeId x, StringId s) {
   const std::uint64_t xs = pack(x, s);
   Slot& slot = index_.get_or_create(xs);
-  created = slot.responder == kNone;
-  if (created) {
+  if (slot.responder == kNone) {
     slot.responder = static_cast<std::uint32_t>(responders_.size());
     responders_.push_back({xs, {}});
   }

@@ -15,6 +15,16 @@
 // Pull delivery) is one open-addressed probe plus a short chain walk, and
 // clear() keeps every buffer, so warm trials allocate nothing.
 //
+// Credits. Each tally credits a sender once, in a 64-bit mask over the
+// sender's first position in the tally's fixed quorum (credit() below,
+// sampler::QuorumView::locate); worlds with d > 64 are rejected at build.
+//
+// Fw1 fast path. An Fw1 tally exists only once some copy carrying its label
+// `r` passed all three of Algorithm 2's checks, and two of them (this in
+// H(s, w), w in J(x, r)) do not depend on the sender. So the actors look
+// the tally up first (find_fw1): a later copy under the same label returns
+// at once if the tally has fired, and otherwise checks only its sender.
+//
 // Serve order. After deciding, a node serves the retained entries of each
 // role that have become due (serve()). Simulation behavior depends on send
 // order, and the pinned order is the one the roles had when they were
@@ -37,6 +47,17 @@
 
 namespace fba::aer {
 
+/// Credits a quorum member once: sets bit `pos` of `counted` (the member's
+/// first position in the quorum's sorted copy, sampler::QuorumView::locate)
+/// and returns whether it was clear. A tally's quorum never changes, so the
+/// mask dedups exactly as a list of credited senders would.
+inline bool credit(std::uint64_t& counted, std::uint32_t pos) {
+  const std::uint64_t bit = std::uint64_t{1} << pos;
+  if ((counted & bit) != 0) return false;
+  counted |= bit;
+  return true;
+}
+
 /// Serve-time scratch for every RelayState of one trial: the replay maps'
 /// node pool (recycled, so warm trials allocate nothing) and the due list.
 struct RelayScratch {
@@ -47,16 +68,14 @@ struct RelayScratch {
 class RelayState {
  public:
   struct Fw1Tally {
-    PollLabel r = 0;            ///< label from the vouched request.
+    PollLabel r = 0;            ///< label of the copy that created it.
+    std::uint64_t counted = 0;  ///< vouching y, by position in H(s, x).
     std::uint32_t slots = 0;    ///< slots of H(s, x) vouching.
-    std::uint32_t counted = 0;  ///< distinct vouching y in H(s, x).
-    std::uint32_t counted_off = 0;
     bool fired = false;         ///< Fw2 already sent ("forward only once").
   };
   struct Responder {
+    std::uint64_t counted = 0;  ///< vouching z, by position in H(s, this).
     std::uint32_t slots = 0;    ///< slots of H(s, this) vouching.
-    std::uint32_t counted = 0;  ///< distinct vouching z in H(s, this).
-    std::uint32_t counted_off = 0;
     bool polled = false;        ///< Poll(s, r) received from x.
     bool answered = false;      ///< Answer sent ("forward once").
   };
@@ -70,9 +89,11 @@ class RelayState {
   /// (x, s): the first label wins.
   void retain_pull(NodeId x, StringId s, PollLabel r);
   /// The tally of Fw1(x, s, r, w) copies, created on first sight.
-  Fw1Tally& fw1(NodeId x, StringId s, NodeId w, bool& created);
+  Fw1Tally& fw1(NodeId x, StringId s, NodeId w);
+  /// The (x, s, w) tally if one was created, else nullptr. Creates nothing.
+  Fw1Tally* find_fw1(NodeId x, StringId s, NodeId w);
   /// The responder state for (x, s), created on first sight.
-  Responder& responder(NodeId x, StringId s, bool& created);
+  Responder& responder(NodeId x, StringId s);
   const Responder* find_responder(NodeId x, StringId s) const;
 
   /// Post-decision service for `current`, role by role: forward each

@@ -17,7 +17,6 @@ void SoaAerState::reset(const AerShared* shared,
                         sim::EngineBase& engine) {
   shared_ = shared;
   n_ = shared->config.n;
-  d_ = static_cast<std::uint32_t>(shared->config.resolved_d());
   burst_engine_ = nullptr;
 
   initial_.assign(initial.begin(), initial.end());
@@ -36,8 +35,6 @@ void SoaAerState::reset(const AerShared* shared,
   for (std::size_t id = 0; id < n_; ++id) relay_[id].clear();
   deferred_.assign(n_, {});
 
-  counted_arena_.clear();
-
   for (NodeId id = 0; id < n_; ++id) {
     if (engine.is_corrupt(id)) continue;
     engine.set_actor(id, static_cast<sim::Actor*>(this));
@@ -45,20 +42,6 @@ void SoaAerState::reset(const AerShared* shared,
     candidate_count_[id] = 1;
     in_list_.insert(pack_ns(id, initial_[id]));
   }
-}
-
-std::uint32_t SoaAerState::new_counted_span() {
-  const auto off = static_cast<std::uint32_t>(counted_arena_.size());
-  counted_arena_.resize(counted_arena_.size() + d_);
-  return off;
-}
-
-bool SoaAerState::already_counted(const NodeId* counted, std::uint32_t count,
-                                  NodeId who) {
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (counted[i] == who) return true;
-  }
-  return false;
 }
 
 bool SoaAerState::over_budget(NodeId self, StringId s) const {
@@ -106,15 +89,11 @@ void SoaAerState::handle_push(sim::Context& ctx, NodeId self, NodeId from,
                               const sim::Message& m) {
   if (in_list_.contains(pack_ns(self, m.s))) return;  // already a candidate
   const sampler::QuorumView quorum = shared_->push_quorum(m.s, self);
-  const std::size_t mult = quorum.multiplicity(from);
-  if (mult == 0) return;  // not in our Push Quorum for s: ignore silently
-  bool created = false;
-  PushTally& tally = push_tallies_.get_or_create(pack_ns(self, m.s), created);
-  if (created) tally.counted_off = new_counted_span();
-  NodeId* counted = counted_at(tally.counted_off);
-  if (already_counted(counted, tally.counted, from)) return;
-  counted[tally.counted++] = from;
-  tally.slots += static_cast<std::uint32_t>(mult);
+  const sampler::QuorumView::Hit hit = quorum.locate(from);
+  if (hit.count == 0) return;  // not in our Push Quorum for s: ignore silently
+  PushTally& tally = push_tallies_.get_or_create(pack_ns(self, m.s));
+  if (!credit(tally.counted, hit.pos)) return;
+  tally.slots += hit.count;
   if (tally.slots * 2 > quorum.size()) {
     accept_candidate(ctx, self, m.s);
   }
@@ -131,9 +110,7 @@ void SoaAerState::accept_candidate(sim::Context& ctx, NodeId self,
 
 void SoaAerState::start_pull(sim::Context& ctx, NodeId self, StringId s) {
   if (my_pulls_.contains(pack_ns(self, s))) return;
-  bool created = false;
-  MyPull& pull = my_pulls_.get_or_create(pack_ns(self, s), created);
-  pull.answered_off = new_counted_span();
+  MyPull& pull = my_pulls_.get_or_create(pack_ns(self, s));
   pull.r = shared_->samplers.poll.random_label(ctx.rng());
 
   const sim::Message poll = poll_msg(s, pull.r);
@@ -154,12 +131,10 @@ void SoaAerState::handle_answer(sim::Context& ctx, NodeId self, NodeId from,
   MyPull* pull = my_pulls_.find(pack_ns(self, m.s));
   if (pull == nullptr) return;  // never asked about s
   const sampler::QuorumView poll_list = shared_->poll_list(self, pull->r);
-  const std::size_t mult = poll_list.multiplicity(from);
-  if (mult == 0) return;  // answer from outside J(x, r_{x,s})
-  NodeId* answered = counted_at(pull->answered_off);
-  if (already_counted(answered, pull->answered, from)) return;
-  answered[pull->answered++] = from;
-  pull->slots += static_cast<std::uint32_t>(mult);
+  const sampler::QuorumView::Hit hit = poll_list.locate(from);
+  if (hit.count == 0) return;  // answer from outside J(x, r_{x,s})
+  if (!credit(pull->answered, hit.pos)) return;
+  pull->slots += hit.count;
   if (pull->slots * 2 > poll_list.size()) decide(ctx, self, m.s);
 }
 
@@ -220,8 +195,7 @@ void SoaAerState::forward_pull(sim::Context& ctx, NodeId self, NodeId x,
       const sampler::QuorumView h_w =
           shared_->pull_quorum(s, poll_view.distinct[i]);
       for (std::uint32_t j = 0; j < h_w.distinct_count; ++j) {
-        metrics.on_message(self, h_w.distinct[j], bits,
-                           sim::MessageKind::kFw1);
+        metrics.on_message(self, bits, sim::MessageKind::kFw1);
       }
     }
     sim::Envelope env;
@@ -265,23 +239,28 @@ void SoaAerState::expand(const sim::Envelope& burst, sim::SyncEngine& engine) {
 
 void SoaAerState::handle_fw1(sim::Context& ctx, NodeId self, NodeId from,
                              const sim::Message& m) {
-  const sampler::QuorumView h_w = shared_->pull_quorum(m.s, m.b);
-  if (!h_w.contains(self)) return;  // this in H(s, w)
+  RelayState& relay = relay_[self];
+  RelayState::Fw1Tally* tally = relay.find_fw1(m.a, m.s, m.b);
+  const bool vouched = tally != nullptr && tally->r == m.r;
+  if (vouched && tally->fired) return;
+  if (!vouched && !shared_->pull_quorum(m.s, m.b).contains(self)) {
+    return;  // this in H(s, w)
+  }
   const sampler::QuorumView h_x = shared_->pull_quorum(m.s, m.a);
-  const std::size_t mult = h_x.multiplicity(from);
-  if (mult == 0) return;  // y in H(s, x)
-  if (!shared_->poll_list(m.a, m.r).contains(m.b)) return;  // w in J(x,r)
+  const sampler::QuorumView::Hit hit = h_x.locate(from);
+  if (hit.count == 0) return;  // y in H(s, x)
+  if (!vouched && !shared_->poll_list(m.a, m.r).contains(m.b)) {
+    return;  // w in J(x, r)
+  }
 
-  bool created = false;
-  RelayState::Fw1Tally& tally = relay_[self].fw1(m.a, m.s, m.b, created);
-  if (created) tally.counted_off = new_counted_span();
-  NodeId* counted = counted_at(tally.counted_off);
-  if (tally.fired || already_counted(counted, tally.counted, from)) return;
-  if (tally.counted == 0) tally.r = m.r;
-  counted[tally.counted++] = from;
-  tally.slots += static_cast<std::uint32_t>(mult);
-  if (m.s == current_[self] && tally.slots * 2 > h_x.size()) {
-    tally.fired = true;  // forward only once
+  if (tally == nullptr) {
+    tally = &relay.fw1(m.a, m.s, m.b);
+    tally->r = m.r;
+  }
+  if (tally->fired || !credit(tally->counted, hit.pos)) return;
+  tally->slots += hit.count;
+  if (m.s == current_[self] && tally->slots * 2 > h_x.size()) {
+    tally->fired = true;  // forward only once
     ctx.send(m.b, fw2_msg(m.a, m.s, m.r));
   }
 }
@@ -292,16 +271,12 @@ void SoaAerState::handle_fw2(sim::Context& ctx, NodeId self, NodeId from,
                              const sim::Message& m) {
   if (!shared_->poll_list(m.a, m.r).contains(self)) return;  // in J(x,r)
   const sampler::QuorumView h_self = shared_->pull_quorum(m.s, self);
-  const std::size_t mult = h_self.multiplicity(from);
-  if (mult == 0) return;  // z in H(s, this)
+  const sampler::QuorumView::Hit hit = h_self.locate(from);
+  if (hit.count == 0) return;  // z in H(s, this)
 
-  bool created = false;
-  RelayState::Responder& st = relay_[self].responder(m.a, m.s, created);
-  if (created) st.counted_off = new_counted_span();
-  NodeId* counted = counted_at(st.counted_off);
-  if (st.answered || already_counted(counted, st.counted, from)) return;
-  counted[st.counted++] = from;
-  st.slots += static_cast<std::uint32_t>(mult);
+  RelayState::Responder& st = relay_[self].responder(m.a, m.s);
+  if (st.answered || !credit(st.counted, hit.pos)) return;
+  st.slots += hit.count;
   if (m.s == current_[self] && st.slots * 2 > h_self.size() && st.polled) {
     st.answered = true;
     emit_answer(ctx, self, m.a, m.s);
@@ -311,9 +286,7 @@ void SoaAerState::handle_fw2(sim::Context& ctx, NodeId self, NodeId from,
 void SoaAerState::handle_poll(sim::Context& ctx, NodeId self, NodeId from,
                               const sim::Message& m) {
   if (!shared_->poll_list(from, m.r).contains(self)) return;
-  bool created = false;
-  RelayState::Responder& st = relay_[self].responder(from, m.s, created);
-  if (created) st.counted_off = new_counted_span();
+  RelayState::Responder& st = relay_[self].responder(from, m.s);
   if (st.polled) return;
   st.polled = true;
   const sampler::QuorumView h_self = shared_->pull_quorum(m.s, self);
@@ -347,7 +320,6 @@ void SoaAerState::charge_mem(support::MemBudget& mem) const {
   mem.charge_vector(has_decided_);
   mem.charge_vector(candidate_count_);
   mem.charge_vector(deferred_peak_);
-  mem.charge_vector(counted_arena_);
   mem.charge_vector(targets_scratch_);
 
   mem.charge(
@@ -389,11 +361,12 @@ void fill_aer_specific_soa(AerReport& report, const AerWorld& world,
   }
 }
 
-/// Trial-wide memory account shared by both engine flavors: the SoA state,
-/// the event core's high-water bytes (in its storage layout), the metrics
-/// arrays, the dense sampler tables and the interned strings. All terms are
-/// logical sizes or capacity-rules over counts (support/mem.h), never
-/// allocator state.
+/// Trial-wide memory account shared by both engine flavors: the SoA state
+/// (whose tallies hold their credits inline, as 64-bit masks), the event
+/// core's high-water bytes (in its storage layout), the two per-node
+/// TrafficMetrics arrays, the dense sampler tables and the interned strings.
+/// All terms are logical sizes or capacity-rules over counts
+/// (support/mem.h), never allocator state.
 void charge_trial_mem(support::MemBudget& mem, const AerWorld& world,
                       const SoaAerState& state, std::size_t queue_bytes) {
   const AerShared& shared = *world.shared;
@@ -402,8 +375,8 @@ void charge_trial_mem(support::MemBudget& mem, const AerWorld& world,
 
   state.charge_mem(mem);
   mem.charge(queue_bytes);
-  // TrafficMetrics: sent bits / received bits / sent messages per node.
-  mem.charge(static_cast<std::uint64_t>(n) * 3 * sizeof(std::uint64_t));
+  // TrafficMetrics: sent bits / sent messages per node.
+  mem.charge(static_cast<std::uint64_t>(n) * 2 * sizeof(std::uint64_t));
   // Dense sampler rows (sampler/tables.cpp layout): quorum rows hold a
   // distinct-count header plus three d-sized regions; poll rows prepend a
   // 4-entry identity header. Each built row also owns one probe-index

@@ -16,8 +16,8 @@
 //     membership) live in ONE shared FlatMap64 each, keyed by the packed
 //     (node, string) pair — a single table sized to the run instead of n
 //     minimum-capacity tables;
-//   - credited-sender spans come from one shared bump arena (d entries per
-//     tally, same layout as AerNode's per-node arena);
+//   - each tally credits its senders in a 64-bit mask, as AerNode's do
+//     (aer::credit);
 //   - the relay roles stay per node: one RelayState each (aer/relay_state.h),
 //     the same store AerNode uses, so both actors serve retained requests
 //     through the one RelayState::serve and its pinned send order.
@@ -120,15 +120,8 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
     return (static_cast<std::uint64_t>(node) << 32) | s;
   }
 
-  // -- credited-sender spans: fixed d-capacity slices of one shared arena --
-  NodeId* counted_at(std::uint32_t off) { return counted_arena_.data() + off; }
-  std::uint32_t new_counted_span();
-  static bool already_counted(const NodeId* counted, std::uint32_t count,
-                              NodeId who);
-
   const AerShared* shared_ = nullptr;
   std::size_t n_ = 0;
-  std::uint32_t d_ = 0;
   sim::SyncEngine* burst_engine_ = nullptr;  ///< non-null => bursts on.
 
   // -- dense per-node scalars -----------------------------------------------
@@ -141,18 +134,16 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
 
   // -- shared lookup-only tables, keyed by packed (node, string) ------------
   struct PushTally {
+    std::uint64_t counted = 0;
     std::uint32_t slots = 0;
-    std::uint32_t counted = 0;
-    std::uint32_t counted_off = 0;
   };
   support::FlatMap64<PushTally> push_tallies_;
   support::FlatSet64 in_list_;
 
   struct MyPull {
     PollLabel r = 0;
+    std::uint64_t answered = 0;
     std::uint32_t slots = 0;
-    std::uint32_t answered = 0;
-    std::uint32_t answered_off = 0;
   };
   support::FlatMap64<MyPull> my_pulls_;
   mutable support::FlatMap64<std::uint32_t> answer_counts_;
@@ -161,7 +152,6 @@ class SoaAerState final : public sim::Actor, public sim::BurstSource {
   std::vector<RelayState> relay_;
   std::vector<std::vector<std::pair<NodeId, StringId>>> deferred_;
 
-  std::vector<NodeId> counted_arena_;
   std::vector<NodeId> targets_scratch_;
 };
 

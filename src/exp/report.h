@@ -100,7 +100,11 @@ struct ReportMeta {
   std::string figure;  ///< artifact id: "fig1b", "push-phase", ...
   std::string title;   ///< human-readable one-liner.
   std::uint64_t base_seed = 0;
-  std::size_t trials = 0;  ///< trials per point.
+  /// The requested trial count (--trials, else the scale's default): the
+  /// value --merge replays and grid_fingerprint hashes. A point may hold
+  /// another count (fig3-scale caps its largest n, service counts
+  /// instances); each point's own `trials` count says what it holds.
+  std::size_t trials = 0;
   std::string scale;       ///< "quick" / "default" / "large" / "".
   /// Headline-curve axes for the markdown/gnuplot renderings: x_axis names
   /// a grid axis ("n", "corrupt", "fault", "budget", "index") or "kind"

@@ -93,7 +93,7 @@ void EngineBase::send_from(NodeId src, NodeId dst, const Message& msg) {
              "cannot send a kind-less message");
   FBA_ASSERT(wire_ != nullptr, "engine has no wire format configured");
   const std::size_t bits = message_bit_size(msg, *wire_) + wire_->header_bits();
-  metrics_.on_message(src, dst, bits, msg.kind);
+  metrics_.on_message(src, bits, msg.kind);
 
   const double send_time = now();  // one virtual dispatch per send
   Envelope env;
@@ -159,7 +159,7 @@ void EngineBase::on_recovery_timeout(std::uint64_t token) {
   Envelope env = recovery_.envelope_of(tag);
   const std::size_t bits =
       message_bit_size(env.msg, *wire_) + wire_->header_bits();
-  metrics_.on_message(env.src, env.dst, bits, env.msg.kind);
+  metrics_.on_message(env.src, bits, env.msg.kind);
   metrics_.on_recovery_retransmit(bits);
   bool dropped = false;
   if (fault_) {

@@ -3,8 +3,9 @@
 //
 // The samplers I, H and J (sampler.h) are pure functions of public setup
 // randomness; a run evaluates the same quorums over and over (every push
-// delivery checks I(s, self), every Fw1 checks two H rows and one poll
-// list). The old QuorumCache memoized them in an
+// delivery checks I(s, self); the first Fw1 copy of a relay tally checks
+// two H rows and one poll list, and each later copy under the same label
+// one H row). The old QuorumCache memoized them in an
 // unordered_map<(StringKey, NodeId), Quorum> — one hash probe plus two
 // heap-allocated vectors per distinct quorum, and two SipHash evaluations
 // of *key derivation* per slot per on-demand build.
@@ -16,7 +17,8 @@
 //     lazily per (string, node) into flat chunked storage indexed by
 //     row_of[x] — a lookup is one array index, no hashing. Each row stores
 //     the slot-order members, a sorted copy (O(log d) membership /
-//     multiplicity, identical semantics to sampler::Quorum), and the
+//     multiplicity, identical semantics to sampler::Quorum; a member's
+//     first index there is the bit the actors credit it under), and the
 //     first-seen-order distinct member list the send loops iterate (what
 //     aer/node.cpp used to recompute — with a fresh vector — per send).
 //   - PollTable: poll lists are keyed by (node, label) with labels drawn
@@ -65,17 +67,27 @@ struct QuorumView {
   }
 
   /// Number of slots occupied by y (multiset multiplicity).
-  std::size_t multiplicity(NodeId y) const {
+  std::size_t multiplicity(NodeId y) const { return locate(y).count; }
+
+  /// Where y sits in the sorted copy: its first index there (`pos`, < d)
+  /// and its slot multiplicity (`count`, 0 if y is not a member). A
+  /// member's `pos` is unique within the row, so the actors credit each
+  /// member once by setting bit `pos` of a 64-bit mask (d <= 64).
+  struct Hit {
+    std::uint32_t pos = 0;
+    std::uint32_t count = 0;
+  };
+  Hit locate(NodeId y) const {
     // Binary search over the sorted copy, as Quorum::multiplicity does.
-    std::size_t lo = 0, hi = d;
+    std::uint32_t lo = 0, hi = d;
     while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
+      const std::uint32_t mid = (lo + hi) / 2;
       if (sorted[mid] < y) lo = mid + 1;
       else hi = mid;
     }
-    std::size_t count = 0;
+    std::uint32_t count = 0;
     while (lo + count < d && sorted[lo + count] == y) ++count;
-    return count;
+    return {lo, count};
   }
 };
 

@@ -46,7 +46,6 @@ void TrafficMetrics::reset(std::size_t n) {
   total_messages_ = 0;
   total_bits_ = 0;
   sent_bits_.assign(n, 0);
-  received_bits_.assign(n, 0);
   sent_msgs_.assign(n, 0);
   msgs_by_kind_.fill(0);
   bits_by_kind_.fill(0);
@@ -67,12 +66,11 @@ void TrafficMetrics::on_fault_drop(std::size_t bits, sim::FaultCause cause) {
   ++drops_by_cause_[sim::fault_cause_index(cause)];
 }
 
-void TrafficMetrics::on_message(NodeId src, NodeId dst, std::size_t bits,
+void TrafficMetrics::on_message(NodeId src, std::size_t bits,
                                 sim::MessageKind kind) {
   ++total_messages_;
   total_bits_ += bits;
   sent_bits_[src] += bits;
-  received_bits_[dst] += bits;
   ++sent_msgs_[src];
   const std::size_t k = sim::kind_index(kind);
   ++msgs_by_kind_[k];

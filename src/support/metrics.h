@@ -52,9 +52,8 @@ class TrafficMetrics {
 
   void reset(std::size_t n);
 
-  /// Records one message of `bits` payload+header bits from src to dst.
-  void on_message(NodeId src, NodeId dst, std::size_t bits,
-                  sim::MessageKind kind);
+  /// Records one message of `bits` payload+header bits sent by src.
+  void on_message(NodeId src, std::size_t bits, sim::MessageKind kind);
 
   /// Records a send the fault layer dropped (already charged via
   /// on_message — drops are bandwidth spent on traffic nobody receives).
@@ -84,9 +83,6 @@ class TrafficMetrics {
   LoadStats sent_bits_stats() const;
 
   std::uint64_t sent_bits(NodeId node) const { return sent_bits_.at(node); }
-  std::uint64_t received_bits(NodeId node) const {
-    return received_bits_.at(node);
-  }
   std::uint64_t sent_messages(NodeId node) const {
     return sent_msgs_.at(node);
   }
@@ -128,7 +124,6 @@ class TrafficMetrics {
   std::uint64_t total_messages_ = 0;
   std::uint64_t total_bits_ = 0;
   std::vector<std::uint64_t> sent_bits_;
-  std::vector<std::uint64_t> received_bits_;
   std::vector<std::uint64_t> sent_msgs_;
   KindCounters msgs_by_kind_{};
   KindCounters bits_by_kind_{};

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "adversary/strategies.h"
+#include "aer/messages.h"
 #include "aer/protocol.h"
+#include "aer/soa.h"
+#include "exp/aggregate.h"
+#include "exp/shard.h"
 
 namespace fba::aer {
 namespace {
@@ -183,6 +187,160 @@ TEST(AdversaryAerTest, QuorumSeizureSkewsTheVictimsLoad) {
   EXPECT_GT(planted, 10u);  // the search succeeds at this corruption level
   EXPECT_GT(report.max_candidate_list, 10u);  // the victim's list blew up
   EXPECT_GT(report.sent_bits.imbalance(), 1.5);
+}
+
+// ----- Algorithm 2's relay checks against forged Fw1 copies ------------------------------
+
+/// Forged Fw1 copies sent, one counter per relay check they break.
+struct ForgedFw1Counts {
+  std::uint64_t wrong_label = 0;     ///< label other than x's r
+  std::uint64_t w_outside_j = 0;     ///< w not in J(x, r)
+  std::uint64_t relay_outside = 0;   ///< sent to a relay not in H(s, w)
+  std::uint64_t sender_outside = 0;  ///< from a corrupt node not in H(s, x)
+};
+
+/// When a corrupt forwarder c in H(s, x) receives Pull(s, r) from x, the
+/// coalition sends Fw1 copies that each break exactly one of the relay's
+/// three checks (this in H(s, w), y in H(s, x), w in J(x, r)), or carry
+/// a label other than r. A relay must reject the first three kinds; a
+/// wrong-label copy counts only where the forged label passes every check
+/// on its own. None of the registry strategies sends Fw1.
+class ForgedFw1Strategy final : public adv::Strategy {
+ public:
+  ForgedFw1Strategy(const AerWorldView& view, ForgedFw1Counts& counts)
+      : shared_(*view.shared), counts_(counts) {}
+
+  void on_deliver_to_corrupt(adv::AdvContext& ctx,
+                             const sim::Envelope& env) override {
+    if (env.msg.kind != sim::MessageKind::kPull) return;
+    const NodeId x = env.src;
+    const NodeId c = env.dst;
+    const StringId s = env.msg.s;
+    const PollLabel r = env.msg.r;
+    const sampler::QuorumView h_x = shared_.pull_quorum(s, x);
+    if (!h_x.contains(c)) return;
+    const NodeId outsider = corrupt_outside(ctx, h_x);
+    const sampler::QuorumView j = shared_.poll_list(x, r);
+    for (std::uint32_t i = 0; i < j.distinct_count; ++i) {
+      const NodeId w = j.distinct[i];
+      const sampler::QuorumView h_w = shared_.pull_quorum(s, w);
+      send_to(ctx, c, h_w, fw1_msg(x, s, r ^ 1, w), counts_.wrong_label);
+      if (outsider != kNoNode) {
+        send_to(ctx, outsider, h_w, fw1_msg(x, s, r, w),
+                counts_.sender_outside);
+      }
+      const NodeId z = correct_outside(ctx, h_w, w);
+      if (z != kNoNode) {
+        ctx.send_from(c, z, fw1_msg(x, s, r, w));
+        ++counts_.relay_outside;
+      }
+    }
+    const NodeId w = correct_outside(ctx, j, x);
+    if (w != kNoNode) {
+      send_to(ctx, c, shared_.pull_quorum(s, w), fw1_msg(x, s, r, w),
+              counts_.w_outside_j);
+    }
+  }
+
+ private:
+  static constexpr NodeId kNoNode = ~NodeId{0};
+
+  static void send_to(adv::AdvContext& ctx, NodeId from,
+                      const sampler::QuorumView& relays,
+                      const sim::Message& msg, std::uint64_t& counter) {
+    for (std::uint32_t k = 0; k < relays.distinct_count; ++k) {
+      ctx.send_from(from, relays.distinct[k], msg);
+      ++counter;
+    }
+  }
+  /// The first correct node after `start` (cyclically) outside `q`.
+  static NodeId correct_outside(adv::AdvContext& ctx,
+                                const sampler::QuorumView& q, NodeId start) {
+    const std::size_t n = ctx.n();
+    for (std::size_t k = 1; k <= n; ++k) {
+      const auto id = static_cast<NodeId>((start + k) % n);
+      if (!ctx.is_corrupt(id) && !q.contains(id)) return id;
+    }
+    return kNoNode;
+  }
+  static NodeId corrupt_outside(adv::AdvContext& ctx,
+                                const sampler::QuorumView& q) {
+    for (const NodeId id : ctx.corrupt_nodes()) {
+      if (!q.contains(id)) return id;
+    }
+    return kNoNode;
+  }
+
+  const AerShared& shared_;
+  ForgedFw1Counts& counts_;
+};
+
+/// Every protocol-visible field of one run (exp::outcome_fingerprint minus
+/// the memory account, which only the SoA runner fills), plus the sampler
+/// rows the run built: a relay that skipped a check for the wrong copy
+/// builds different rows even where no decision moves.
+std::uint64_t run_digest(const AerReport& report, const AerWorld& world) {
+  exp::TrialOutcome outcome = exp::outcome_of(report, world);
+  outcome.mem_bytes_per_node = 0;
+  std::uint64_t h = exp::outcome_fingerprint(outcome);
+  const sampler::SharedTables& tables = world.shared->tables;
+  for (const std::size_t rows : {tables.push.rows_built(),
+                                 tables.pull.rows_built(),
+                                 tables.poll.rows_built()}) {
+    h = (h ^ rows) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(ForgedFw1Test, RelaysRejectForgedCopiesOnBothActors) {
+  // Pinned per model over seeds 1-6, as a relay that runs all three checks
+  // on every copy computes them. The two sync models agree: the strategy
+  // acts only on delivery, and with every forgery filtered out they carry
+  // the same correct traffic.
+  const std::vector<std::pair<Model, std::uint64_t>> pinned = {
+      {Model::kSyncRushing, 0xc0e314073ad56b61ull},
+      {Model::kSyncNonRushing, 0xc0e314073ad56b61ull},
+      {Model::kAsync, 0x62204a9b53441616ull},
+  };
+  for (const auto& [model, want] : pinned) {
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      AerConfig cfg;
+      cfg.n = 64;
+      cfg.seed = seed;
+      cfg.model = model;
+      cfg.corrupt_fraction = 0.15;
+      cfg.max_rounds = 80;
+      ForgedFw1Counts pointer_counts, soa_counts;
+      auto forger = [](ForgedFw1Counts& counts) {
+        return [&counts](const AerWorldView& view) {
+          return std::make_unique<ForgedFw1Strategy>(view, counts);
+        };
+      };
+      AerWorld pointer_world = build_aer_world(cfg);
+      const AerReport pointer =
+          run_aer_world(pointer_world, forger(pointer_counts));
+      AerWorld soa_world = build_aer_world(cfg);
+      SoaArena arena;
+      const AerReport soa =
+          run_aer_world_soa(soa_world, arena, {}, forger(soa_counts));
+
+      const std::uint64_t pointer_digest = run_digest(pointer, pointer_world);
+      EXPECT_EQ(pointer_digest, run_digest(soa, soa_world))
+          << model_name(model) << " seed " << seed;
+      EXPECT_EQ(pointer_counts.wrong_label, soa_counts.wrong_label);
+      EXPECT_EQ(pointer_counts.sender_outside, soa_counts.sender_outside);
+      // The forgeries were sent: every kind, on every run.
+      EXPECT_GT(pointer_counts.wrong_label, 0u) << seed;
+      EXPECT_GT(pointer_counts.w_outside_j, 0u) << seed;
+      EXPECT_GT(pointer_counts.relay_outside, 0u) << seed;
+      EXPECT_GT(pointer_counts.sender_outside, 0u) << seed;
+      EXPECT_EQ(pointer.decided_gstring, pointer.decided_count) << seed;
+      digest = (digest ^ pointer_digest) * 0x100000001b3ull;
+    }
+    EXPECT_EQ(digest, want) << model_name(model) << ": 0x" << std::hex
+                            << digest;
+  }
 }
 
 // ----- resilience limits ---------------------------------------------------------------

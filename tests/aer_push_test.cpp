@@ -92,6 +92,21 @@ TEST(AerWorldTest, RejectsTinyNetworks) {
   EXPECT_THROW(build_aer_world(cfg), ConfigError);
 }
 
+TEST(AerWorldTest, QuorumSizeIsCappedByTheCreditMask) {
+  // Tallies credit each quorum member in a 64-bit mask (aer::credit), so
+  // d = 65 is refused where the world is built and d = 64 runs. At n = 16 a
+  // 64-slot quorum repeats members, and their first sorted positions reach
+  // the mask's top bits.
+  AerConfig cfg = small_config();
+  cfg.n = 16;
+  cfg.d_override = 65;
+  EXPECT_THROW(build_aer_world(cfg), ConfigError);
+  cfg.d_override = 64;
+  const AerReport report = run_aer(cfg);
+  EXPECT_EQ(report.d, 64u);
+  EXPECT_TRUE(report.agreement);
+}
+
 // ----- Lemma 3: push cost ------------------------------------------------------
 
 TEST(PushPhaseTest, EachCorrectNodeSendsExactlyDPushes) {

@@ -150,7 +150,6 @@ TEST(RelayStateTest, ServeOrderMatchesUnorderedMapReferences) {
       const auto [x, s] = keys.xs(rng);
       const std::uint64_t xs = pack(x, s);
       const PollLabel r = rng.next();
-      bool created = false;
       switch (rng.below(4)) {
         case 0: {  // a Pull for a string we do not (yet) believe in
           ref.pending.emplace(xs, r);
@@ -162,8 +161,10 @@ TEST(RelayStateTest, ServeOrderMatchesUnorderedMapReferences) {
           const auto outer = ref.fw1.try_emplace(xs);
           const auto inner = outer.first->second.try_emplace(w);
           RefTally& want = inner.first->second;
-          RelayState::Fw1Tally& got = relay.fw1(x, s, w, created);
+          const bool created = relay.find_fw1(x, s, w) == nullptr;
           ASSERT_EQ(created, inner.second);
+          RelayState::Fw1Tally& got = relay.fw1(x, s, w);
+          ASSERT_EQ(relay.find_fw1(x, s, w), &got);
           if (created) want.r = got.r = r;
           const auto vote = static_cast<std::uint32_t>(rng.below(max_vote));
           want.slots += vote;
@@ -175,8 +176,8 @@ TEST(RelayStateTest, ServeOrderMatchesUnorderedMapReferences) {
           const bool poll = rng.below(2) == 0;
           const auto emplaced = ref.responder.try_emplace(xs);
           RefResponder& want = emplaced.first->second;
-          RelayState::Responder& got = relay.responder(x, s, created);
-          ASSERT_EQ(created, emplaced.second);
+          ASSERT_EQ(relay.find_responder(x, s) == nullptr, emplaced.second);
+          RelayState::Responder& got = relay.responder(x, s);
           if (poll) {
             want.polled = got.polled = true;
           } else {
@@ -217,6 +218,16 @@ TEST(RelayStateTest, ServeOrderMatchesUnorderedMapReferences) {
   EXPECT_GT(max_buckets, 257u);  // the references grew past every step
 }
 
+TEST(RelayStateTest, CreditSetsEachPositionOnce) {
+  std::uint64_t counted = 0;
+  EXPECT_TRUE(aer::credit(counted, 0));
+  EXPECT_FALSE(aer::credit(counted, 0));
+  EXPECT_TRUE(aer::credit(counted, 63));  // d = 64 uses the top bit
+  EXPECT_FALSE(aer::credit(counted, 63));
+  EXPECT_TRUE(aer::credit(counted, 7));
+  EXPECT_EQ(counted, (std::uint64_t{1} << 63) | (1u << 7) | 1u);
+}
+
 TEST(RelayStateTest, LookupsAndGuards) {
   RelayState relay;
   EXPECT_TRUE(relay.mark_forwarded(3, 1));
@@ -224,23 +235,23 @@ TEST(RelayStateTest, LookupsAndGuards) {
   EXPECT_TRUE(relay.mark_forwarded(3, 2));
 
   EXPECT_EQ(relay.find_responder(3, 1), nullptr);  // forwarded is not polled
-  bool created = false;
-  relay.responder(3, 1, created).polled = true;
-  EXPECT_TRUE(created);
-  relay.responder(3, 1, created);
-  EXPECT_FALSE(created);
+  relay.responder(3, 1).polled = true;
+  EXPECT_EQ(&relay.responder(3, 1), relay.find_responder(3, 1));
   ASSERT_NE(relay.find_responder(3, 1), nullptr);
   EXPECT_TRUE(relay.find_responder(3, 1)->polled);
 
-  // Chained Fw1 tallies: one per w, found again on every later copy.
-  relay.fw1(3, 1, 10, created).slots = 4;
-  EXPECT_TRUE(created);
-  relay.fw1(3, 1, 11, created).slots = 6;
-  EXPECT_TRUE(created);
-  EXPECT_EQ(relay.fw1(3, 1, 10, created).slots, 4u);
-  EXPECT_FALSE(created);
-  EXPECT_EQ(relay.fw1(3, 1, 11, created).slots, 6u);
-  EXPECT_FALSE(created);
+  // Chained Fw1 tallies: one per w, found again on every later copy;
+  // find_fw1 creates nothing.
+  EXPECT_EQ(relay.find_fw1(3, 1, 10), nullptr);
+  relay.fw1(3, 1, 10).slots = 4;
+  EXPECT_EQ(relay.find_fw1(3, 1, 11), nullptr);
+  relay.fw1(3, 1, 11).slots = 6;
+  ASSERT_NE(relay.find_fw1(3, 1, 10), nullptr);
+  EXPECT_EQ(relay.find_fw1(3, 1, 10)->slots, 4u);
+  EXPECT_EQ(relay.fw1(3, 1, 10).slots, 4u);
+  EXPECT_EQ(relay.fw1(3, 1, 11).slots, 6u);
+  EXPECT_EQ(relay.find_fw1(3, 2, 10), nullptr);  // other string, no chain
+  EXPECT_EQ(relay.find_fw1(4, 1, 10), nullptr);  // other requester
 
   // The first retained label wins; serving drops the retained pulls, after
   // which the same (x, s) can be retained again.
@@ -257,6 +268,7 @@ TEST(RelayStateTest, LookupsAndGuards) {
 
   relay.clear();
   EXPECT_EQ(relay.find_responder(3, 1), nullptr);
+  EXPECT_EQ(relay.find_fw1(3, 1, 10), nullptr);
   EXPECT_TRUE(relay.mark_forwarded(3, 1));
 }
 

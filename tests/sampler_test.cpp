@@ -270,6 +270,19 @@ void expect_view_matches(const QuorumView& view, const Quorum& reference) {
     EXPECT_EQ(view.contains(probe), reference.contains(probe));
     EXPECT_EQ(view.multiplicity(probe), reference.multiplicity(probe));
   }
+  // locate: a member's first index in the sorted copy, unique per member
+  // (the bit the actors credit it under), and its multiplicity.
+  std::uint64_t positions = 0;
+  for (NodeId m : distinct) {
+    const QuorumView::Hit hit = view.locate(m);
+    const auto first =
+        std::find(reference.sorted.begin(), reference.sorted.end(), m);
+    EXPECT_EQ(hit.pos,
+              static_cast<std::uint32_t>(first - reference.sorted.begin()));
+    EXPECT_EQ(hit.count, reference.multiplicity(m));
+    EXPECT_EQ((positions >> hit.pos) & 1u, 0u) << "position shared";
+    positions |= std::uint64_t{1} << hit.pos;
+  }
 }
 
 }  // namespace
