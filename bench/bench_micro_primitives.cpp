@@ -257,14 +257,15 @@ void BM_AsyncEngineDelivery(benchmark::State& state) {
 BENCHMARK(BM_AsyncEngineDelivery);
 
 /// The async engine's event core alone, in the classic "hold" model: the
-/// heap starts with range(0) events — half in-flight messages due within
+/// queue starts with range(0) events — half in-flight messages due within
 /// one time unit, half retransmit timers 2.5 units out, the mix of a lossy
 /// ARQ run — and every iteration pops the earliest event and pushes its
 /// successor of the same kind, so the queue size stays fixed. One
-/// iteration is one pop plus one push.
-void BM_EventQueueHeapHold(benchmark::State& state) {
+/// iteration is one pop plus one push. Uniform message delays fill every
+/// calendar slot out of key order, so each slot is sorted once when due.
+void BM_EventQueueHold(benchmark::State& state) {
   const auto size = static_cast<std::size_t>(state.range(0));
-  sim::EventQueue queue(sim::EventQueue::Mode::kHeap);
+  sim::EventQueue queue(sim::EventQueue::Mode::kCalendar);
   Rng rng(static_cast<std::uint64_t>(state.range(0)));
   sim::Envelope env;
   env.msg = bench_ping();
@@ -288,7 +289,49 @@ void BM_EventQueueHeapHold(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_EventQueueHeapHold)->Arg(1 << 10)->Arg(1 << 18);
+BENCHMARK(BM_EventQueueHold)->Arg(1 << 10)->Arg(1 << 18);
+
+/// The same hold with constant delays. With range(1) = 0 it is the
+/// overload strategy's mix: messages re-queued at now + 1.0 or now + 0.05,
+/// timers at arq-fast's floor RTO, now + 2.5. Each delay alone fills its
+/// slots in key order, but the three share slots, so most slots are still
+/// sorted when due. With range(1) = 1 every event is re-queued at now + 1.0,
+/// so every slot fills in key order and drains in place.
+void BM_EventQueueHoldConstant(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const bool one_delay = state.range(1) != 0;
+  sim::EventQueue queue(sim::EventQueue::Mode::kCalendar);
+  Rng rng(static_cast<std::uint64_t>(state.range(0)));
+  sim::Envelope env;
+  env.msg = bench_ping();
+  std::uint64_t token = 0;
+  const auto message_delay = [&] {
+    return one_delay || rng.below(2) == 0 ? 1.0 : 0.05;
+  };
+  const double timer_delay = one_delay ? 1.0 : 2.5;
+  for (std::size_t i = 0; i < size; ++i) {
+    if (i % 2 == 0) {
+      queue.push_message(message_delay() * rng.uniform_positive(), 0, env);
+    } else {
+      queue.push_timer(timer_delay * rng.uniform_positive(), 0,
+                       sim::kRecoveryTimerNode, ++token);
+    }
+  }
+  for (auto _ : state) {
+    const sim::EventQueue::Event ev = queue.pop();
+    if (ev.is_timer) {
+      queue.push_timer(ev.at + timer_delay, 0, sim::kRecoveryTimerNode,
+                       ++token);
+    } else {
+      queue.push_message(ev.at + message_delay(), 0, ev.env);
+    }
+    benchmark::DoNotOptimize(ev.seq);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueHoldConstant)
+    ->ArgNames({"size", "one_delay"})
+    ->ArgsProduct({{1 << 10, 1 << 18}, {0, 1}});
 
 /// The zero-allocation contract of the transport layer: once the event
 /// queue's chunk pool is warm (16 rounds), a full send->queue->deliver cycle
@@ -390,11 +433,11 @@ void BM_SteadyStateSendAllocationsRecovery(benchmark::State& state) {
 }
 BENCHMARK(BM_SteadyStateSendAllocationsRecovery);
 
-/// The recovery-enabled contract under the asynchronous engine: the heap
-/// queue's entry array, payload slab and slab free list must, once warm,
-/// serve tracked sends, acks, retransmit timers and resends without
-/// touching the heap. Same shape as the sync bench above: reset() between
-/// runs, one unmeasured warm-up over the identical trace.
+/// The recovery-enabled contract under the asynchronous engine: the
+/// calendar queue's slot chunks, sort scratch, payload slab and slab free
+/// list must, once warm, serve tracked sends, acks, retransmit timers and
+/// resends without touching the heap. Same shape as the sync bench above:
+/// reset() between runs, one unmeasured warm-up over the identical trace.
 void BM_SteadyStateSendAllocationsAsync(benchmark::State& state) {
   const sim::Wire wire = bench_wire();
   const sim::FaultPlan fault = exp::fault_plan_factory("lossy-5pct");
@@ -412,7 +455,7 @@ void BM_SteadyStateSendAllocationsAsync(benchmark::State& state) {
     engine.set_actor(1, std::make_unique<Bouncer>());
   };
   prepare();
-  engine.run([] { return false; });  // warm-up: grow the heap and slab
+  engine.run([] { return false; });  // warm-up: grow the chunks and slab
   std::size_t allocs = 0;
   std::uint64_t messages = 0;
   std::uint64_t retransmits = 0;

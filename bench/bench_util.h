@@ -48,15 +48,28 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-/// The value of the first `--name=value` argument, or nullptr when absent.
+/// The program name for one-line errors: argv[0] without its directory.
+inline const char* binary_name(char** argv) {
+  const char* slash = std::strrchr(argv[0], '/');
+  return slash != nullptr ? slash + 1 : argv[0];
+}
+
+/// The value of the `--name=value` argument, or nullptr when absent. A flag
+/// given twice gets a one-line error and exit 2 instead of silently running
+/// with one of the two values.
 inline const char* find_flag(int argc, char** argv, const char* name) {
   const std::size_t len = std::strlen(name);
+  const char* value = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], name, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
+      if (value != nullptr) {
+        std::fprintf(stderr, "%s: repeated flag %s\n", binary_name(argv), name);
+        std::exit(2);
+      }
+      value = argv[i] + len + 1;
     }
   }
-  return nullptr;
+  return value;
 }
 
 /// Parses `--name=value` into a string; returns `fallback` when absent.
@@ -92,10 +105,9 @@ inline std::size_t flag_value(int argc, char** argv, const char* name,
   if (value == nullptr) return fallback;
   std::size_t parsed = 0;
   if (!parse_count(value, parsed)) {
-    const char* slash = std::strrchr(argv[0], '/');
     std::fprintf(stderr,
                  "%s: invalid %s=%s (expected a non-negative integer)\n",
-                 slash != nullptr ? slash + 1 : argv[0], name, value);
+                 binary_name(argv), name, value);
     std::exit(2);
   }
   return parsed;
@@ -286,10 +298,10 @@ inline CommonOptions parse_common_flags(int argc, char** argv,
   opt.threads = exp::default_threads();
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    const auto value_of = [arg](const char* name) -> const char* {
+    const auto value_of = [&](const char* name) -> const char* {
       const std::size_t len = std::strlen(name);
       if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-        return arg + len + 1;
+        return find_flag(argc, argv, name);  // refuses a repeat
       }
       return nullptr;
     };

@@ -9,16 +9,13 @@ namespace fba::sim {
 AsyncEngine::AsyncEngine(const AsyncConfig& config)
     : EngineBase(config.n, config.seed),
       config_(config),
-      queue_(EventQueue::Mode::kHeap) {
-  queue_.reserve(config.n * 4);
-}
+      queue_(EventQueue::Mode::kCalendar) {}
 
 void AsyncEngine::reset(const AsyncConfig& config) {
   reset_base(config.n, config.seed);
   config_ = config;
   current_time_ = 0;
   queue_.clear();
-  queue_.reserve(config.n * 4);
   beyond_horizon_ = 0;
 }
 

@@ -2,73 +2,44 @@
 
 #include <algorithm>
 #include <bit>
-#include <utility>
 
 #include "net/recovery.h"
 
 namespace fba::sim {
 
-namespace {
-constexpr std::size_t kArity = 4;
-constexpr std::size_t kInitialRingSlots = 8;
-/// Heap entries below this index (32 KiB) lie on the top levels every pop
-/// walks, so they stay cached; sift-down prefetches only beneath them.
-constexpr std::size_t kPrefetchFrom = 1024;
-}  // namespace
-
-void EventQueue::reserve(std::size_t n) {
-  if (mode_ == Mode::kHeap) {
-    heap_.reserve(n);
-    slab_.reserve(n);
+EventQueue::EventQueue(Mode mode) : mode_(mode) {
+  if (mode_ == Mode::kCalendar) {
+    fine_.resize(kFineSlots);
+    far_.grow(1);
   }
+  clear();
 }
 
 void EventQueue::clear() {
   size_ = 0;
   peak_size_ = 0;
   next_seq_ = 0;
-  heap_.clear();
+  // Every chunk goes back on the free list, whichever chain held it, even
+  // a front slot left mid-drain or lanes a throwing visitor left detached.
+  std::fill(fine_.begin(), fine_.end(), Slot{});
+  occupied_.fill(0);
+  cal_tick_ = 0;
+  front_ = Front::kIdle;
+  front_pos_ = 0;
+  sorted_.clear();
+  far_.reset(kFirstFarUnit);
+  far_size_ = 0;
   slab_.clear();
   slab_free_.clear();
-  runs_.fill(Run{});
-  run_front_.fill(kNoKey);
-  min_run_ = 0;
-  timer_fallbacks_ = 0;
-  run_chunks_.release_all();
-  // Every chunk goes back on the free list, whichever lane held it —
-  // including any that a throwing visitor left detached mid-drain.
-  std::fill(ring_.begin(), ring_.end(), Bucket{});
+  slot_chunks_.release_all();
+  ring_.reset(0);
   lane_chunks_.release_all();
-  head_ = 0;
-  base_tick_ = 0;
 }
 
 std::size_t EventQueue::peak_bytes() const {
   if (mode_ == Mode::kBuckets) return peak_size_ * sizeof(LaneEntry);
-  return peak_size_ * sizeof(HeapEntry) +
+  return peak_size_ * sizeof(Entry) +
          slab_.size() * (sizeof(Envelope) + sizeof(std::uint32_t));
-}
-
-void EventQueue::grow_ring(std::size_t min_slots) {
-  std::size_t slots = std::max<std::size_t>(ring_.size() * 2,
-                                            kInitialRingSlots);
-  while (slots < min_slots) slots *= 2;
-  std::vector<Bucket> bigger(slots);
-  // Re-seat existing buckets at their new positions (tick order preserved;
-  // base_tick_ maps to slot 0 of the new ring). Buckets hold only chain
-  // pointers: the entries themselves never move.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
-  }
-  ring_ = std::move(bigger);
-  head_ = 0;
-}
-
-EventQueue::Bucket& EventQueue::bucket_at(std::uint64_t tick) {
-  FBA_ASSERT(tick >= base_tick_, "bucketed push into the past");
-  const std::uint64_t offset = tick - base_tick_;
-  if (offset >= ring_.size()) grow_ring(offset + 1);
-  return ring_[(head_ + offset) & (ring_.size() - 1)];
 }
 
 void* EventQueue::lane_slot(SimTime at, std::uint32_t pri) {
@@ -76,38 +47,22 @@ void* EventQueue::lane_slot(SimTime at, std::uint32_t pri) {
   const auto tick = static_cast<std::uint64_t>(at);
   FBA_ASSERT(static_cast<SimTime>(tick) == at,
              "bucketed timestamps must be integral");
-  Bucket& bucket = bucket_at(tick);
-  Lane& lane = bucket.lanes[pri];
-  if (lane.fill == kChunkEntries || lane.tail == nullptr) {
-    LaneChunk* chunk = lane_chunks_.acquire();
-    if (lane.tail == nullptr) {
-      lane.head = chunk;
-    } else {
-      lane.tail->next = chunk;
-    }
-    lane.tail = chunk;
-    lane.fill = 0;
-  }
+  Bucket& bucket = ring_.at(tick);
   ++bucket.count;
   note_push();
-  return lane.tail->entries() + lane.fill++;
+  return lane_chunks_.append(bucket.lanes[pri]);
 }
 
-EventQueue::HeapEntry EventQueue::heap_entry(SimTime at, std::uint32_t pri) {
+EventQueue::Entry EventQueue::keyed(SimTime at, std::uint32_t pri) {
   // `!(at >= 0)` also rejects NaN; -0.0 passes but its sign bit would sort
   // it after every positive time, so it is folded into +0.0.
-  FBA_ASSERT(at >= 0, "heap timestamps must be non-negative");
-  FBA_ASSERT(pri < kNumPriorities, "heap priority class out of range");
-  HeapEntry entry;
+  FBA_ASSERT(at >= 0, "calendar timestamps must be non-negative");
+  FBA_ASSERT(at < 0x1p52, "calendar timestamp out of range");  // tick fits
+  FBA_ASSERT(pri < kNumPriorities, "calendar priority class out of range");
+  Entry entry;
   entry.key_hi = std::bit_cast<std::uint64_t>(at == 0 ? SimTime{0} : at);
   entry.key_lo = (std::uint64_t{pri} << kSeqBits) | next_seq_++;
   return entry;
-}
-
-void EventQueue::heap_insert(const HeapEntry& entry) {
-  note_push();
-  heap_.push_back(entry);
-  heap_sift_up(heap_.size() - 1);
 }
 
 std::uint32_t EventQueue::slab_put(const Envelope& env) {
@@ -124,11 +79,11 @@ std::uint32_t EventQueue::slab_put(const Envelope& env) {
 
 void EventQueue::push_message(SimTime at, std::uint32_t pri,
                               const Envelope& env, RecoveryTag rec) {
-  if (mode_ == Mode::kHeap) {
-    HeapEntry entry = heap_entry(at, pri);
+  if (mode_ == Mode::kCalendar) {
+    Entry entry = keyed(at, pri);
     entry.word = RecoveryState::timer_token(rec);  // the tag's 48-bit form
     entry.ref = slab_put(env);
-    heap_insert(entry);
+    push_entry(entry);
     return;
   }
   ::new (lane_slot(at, pri)) LaneEntry{
@@ -138,15 +93,12 @@ void EventQueue::push_message(SimTime at, std::uint32_t pri,
 
 void EventQueue::push_timer(SimTime at, std::uint32_t pri, NodeId node,
                             std::uint64_t token) {
-  if (mode_ == Mode::kHeap) {
-    HeapEntry entry = heap_entry(at, pri);
+  if (mode_ == Mode::kCalendar) {
+    Entry entry = keyed(at, pri);
     entry.word = token;
     entry.ref = node;
     entry.is_timer = true;
-    if (!run_append(entry)) {
-      ++timer_fallbacks_;
-      heap_insert(entry);
-    }
+    push_entry(entry);
     return;
   }
   LaneEntry* slot = ::new (lane_slot(at, pri)) LaneEntry{
@@ -163,88 +115,140 @@ void EventQueue::push_burst(SimTime at, std::uint32_t pri,
       env, static_cast<std::uint64_t>(LaneEntry::Kind::kBurst)};
 }
 
-bool EventQueue::run_append(const HeapEntry& entry) {
-  // Best fit, as in patience sorting: the run whose tail lies nearest below
-  // the key leaves the runs with earlier tails open for later timers armed
-  // with a shorter RTO.
-  const Key key = key_of(entry);
-  std::size_t pick = kTimerRuns;
-  std::size_t empty = kTimerRuns;
-  for (std::size_t r = 0; r < kTimerRuns; ++r) {
-    if (run_front_[r] == kNoKey) {
-      if (empty == kTimerRuns) empty = r;
-    } else if (runs_[r].last < key &&
-               (pick == kTimerRuns || runs_[r].last > runs_[pick].last)) {
-      pick = r;
-    }
-  }
-  if (pick == kTimerRuns) pick = empty;
-  if (pick == kTimerRuns) return false;
-  Run& run = runs_[pick];
-  if (run.fill == kRunChunkEntries || run.tail == nullptr) {
-    RunChunk* chunk = run_chunks_.acquire();
-    if (run.tail == nullptr) {
-      run.head = chunk;
-    } else {
-      run.tail->next = chunk;
-    }
-    run.tail = chunk;
-    run.fill = 0;
-  }
-  ::new (run.tail->entries() + run.fill++) HeapEntry(entry);
-  run.last = key;
-  if (run_front_[pick] == kNoKey) {
-    run_front_[pick] = key;
-    if (key < run_front_[min_run_]) min_run_ = pick;
-  }
+void EventQueue::free_slot(std::size_t index) {
+  fine_[index] = Slot{};
+  occupied_[index / 64] &= ~(std::uint64_t{1} << (index % 64));
+}
+
+void EventQueue::push_entry(const Entry& entry) {
   note_push();
-  return true;
+  // A push before the front slot joins it: its key sorts it ahead of every
+  // later slot, and the front slot orders by key, so it pops next.
+  const std::uint64_t tick = std::max(tick_of(entry), cal_tick_);
+  if (tick >= far_.base * kSlotsPerUnit) {
+    ::new (slot_chunks_.append(far_.at(tick / kSlotsPerUnit))) Entry(entry);
+    ++far_size_;
+  } else if (tick == cal_tick_ && front_ != Front::kIdle) {
+    push_front(entry);
+  } else {
+    append_fine(tick, entry);
+  }
 }
 
-EventQueue::HeapEntry EventQueue::run_pop_front() {
-  Run& run = runs_[min_run_];
-  const HeapEntry entry = run.head->entries()[run.head_pos++];
-  if (run.head_pos == (run.head == run.tail ? run.fill : kRunChunkEntries)) {
-    // The head chunk is spent: hand it back; the run may now be empty.
-    RunChunk* next = run.head->next;
-    run_chunks_.release(run.head);
-    if (next == nullptr) {
-      run = Run{};
-    } else {
-      run.head = next;
-      run.head_pos = 0;
+void EventQueue::append_fine(std::uint64_t tick, const Entry& entry) {
+  const std::size_t index = tick & kFineMask;
+  Slot& slot = fine_[index];
+  if (slot.chain.tail == nullptr) {
+    occupied_[index / 64] |= std::uint64_t{1} << (index % 64);
+  } else if (key_of(entry) < key_of(slot.chain.last())) {
+    slot.ordered = false;
+  }
+  ::new (slot_chunks_.append(slot.chain)) Entry(entry);
+}
+
+void EventQueue::push_front(const Entry& entry) {
+  if (front_ == Front::kInPlace) {
+    EntryChain& chain = fine_[cal_tick_ & kFineMask].chain;
+    if (key_of(entry) > key_of(chain.last())) {
+      ::new (slot_chunks_.append(chain)) Entry(entry);
+      return;
     }
+    sort_front(front_pos_);  // the unread remainder
   }
-  run_front_[min_run_] = run.head == nullptr
-                             ? kNoKey
-                             : key_of(run.head->entries()[run.head_pos]);
-  // This run's front only moved later: rescan for the earliest.
-  min_run_ = 0;
-  for (std::size_t r = 1; r < kTimerRuns; ++r) {
-    if (run_front_[r] < run_front_[min_run_]) min_run_ = r;
-  }
-  return entry;
+  sorted_.insert(
+      std::upper_bound(sorted_.begin(), sorted_.end(), entry, later), entry);
 }
 
-SimTime EventQueue::next_at() const {
-  FBA_ASSERT(mode_ == Mode::kHeap, "next_at() needs the heap queue");
-  FBA_ASSERT(size_ > 0, "next_at() on an empty event queue");
-  Key front = run_front_[min_run_];
-  if (!heap_.empty()) front = std::min(front, key_of(heap_.front()));
-  return std::bit_cast<SimTime>(static_cast<std::uint64_t>(front >> 64));
+bool EventQueue::find_occupied(std::uint64_t tick, std::size_t& index) const {
+  const std::size_t from = tick & kFineMask;
+  std::size_t word = from / 64;
+  std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (from % 64));
+  // The window ends on a unit (and word) boundary at most kFineSlots past
+  // the start of `from`'s unit, so one pass completes the wrap.
+  for (std::size_t probe = 0; probe < occupied_.size(); ++probe) {
+    if (bits != 0) {
+      index = word * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      return true;
+    }
+    word = (word + 1) % occupied_.size();
+    bits = occupied_[word];
+  }
+  return false;
+}
+
+void EventQueue::spill_far() {
+  // A unit moves only once it fits the window whole, so the fine ring never
+  // holds two ticks that share a ring index.
+  while ((far_.base + 1) * kSlotsPerUnit <= cal_tick_ + kFineSlots) {
+    const EntryChain unit = far_.slots[far_.head];
+    far_.pop_front();
+    slot_chunks_.consume(unit, 0, [&](const Entry& e) {
+      --far_size_;
+      append_fine(tick_of(e), e);
+    });
+  }
+}
+
+void EventQueue::open_front() {
+  std::size_t index = 0;
+  if (!find_occupied(cal_tick_, index)) {
+    // The fine ring is empty: jump the window to the next coarse unit.
+    FBA_ASSERT(far_size_ > 0, "calendar lost track of its events");
+    while (far_.slots[far_.head].head == nullptr) far_.pop_front();
+    cal_tick_ = far_.base * kSlotsPerUnit;
+    spill_far();
+    FBA_ASSERT(find_occupied(cal_tick_, index), "spilled unit not found");
+  }
+  cal_tick_ += (index - cal_tick_) & kFineMask;
+  spill_far();  // every unit past the slot is later than all of it
+  front_pos_ = 0;
+  if (fine_[index].ordered) {
+    front_ = Front::kInPlace;
+  } else {
+    sort_front(0);
+  }
+}
+
+void EventQueue::sort_front(std::size_t from) {
+  const std::size_t index = cal_tick_ & kFineMask;
+  sorted_.clear();
+  slot_chunks_.consume(fine_[index].chain, from,
+                       [&](const Entry& e) { sorted_.push_back(e); });
+  free_slot(index);
+  // Keys are unique by seq, so this is a total order; pop() takes the back.
+  std::sort(sorted_.begin(), sorted_.end(), later);
+  front_ = Front::kSorted;
+}
+
+const EventQueue::Entry& EventQueue::front_entry() {
+  FBA_ASSERT(mode_ == Mode::kCalendar, "pop needs the calendar queue");
+  FBA_ASSERT(size_ > 0, "pop from an empty event queue");
+  if (front_ == Front::kIdle) open_front();
+  if (front_ == Front::kSorted) return sorted_.back();
+  return fine_[cal_tick_ & kFineMask].chain.head->entries()[front_pos_];
 }
 
 EventQueue::Event EventQueue::pop() {
-  FBA_ASSERT(mode_ == Mode::kHeap, "pop() needs the heap queue");
-  FBA_ASSERT(size_ > 0, "pop() on an empty event queue");
+  const Entry front = front_entry();
   --size_;
-  // Keys are unique (seq), so exactly one store holds the earliest event.
-  HeapEntry front;
-  if (!heap_.empty() && key_of(heap_.front()) < run_front_[min_run_]) {
-    front = heap_.front();
-    heap_remove_front();
+  if (front_ == Front::kSorted) {
+    sorted_.pop_back();
+    if (sorted_.empty()) front_ = Front::kIdle;
   } else {
-    front = run_pop_front();
+    const std::size_t index = cal_tick_ & kFineMask;
+    EntryChain& chain = fine_[index].chain;
+    if (++front_pos_ ==
+        (chain.head == chain.tail ? chain.fill : kSlotChunkEntries)) {
+      // The head chunk is spent: hand it back; the slot may now be empty.
+      SlotChunks::Chunk* next = chain.head->next;
+      slot_chunks_.release(chain.head);
+      chain.head = next;
+      front_pos_ = 0;
+      if (next == nullptr) {
+        free_slot(index);
+        front_ = Front::kIdle;
+      }
+    }
   }
   Event out;
   out.at = std::bit_cast<SimTime>(front.key_hi);
@@ -262,53 +266,6 @@ EventQueue::Event EventQueue::pop() {
     slab_free_.push_back(front.ref);
   }
   return out;
-}
-
-void EventQueue::heap_sift_up(std::size_t i) {
-  if (i == 0) return;
-  std::size_t parent = (i - 1) / kArity;
-  if (!before(heap_[i], heap_[parent])) return;  // common case: appended last
-  const HeapEntry moving = heap_[i];
-  while (true) {
-    heap_[i] = heap_[parent];
-    i = parent;
-    if (i == 0) break;
-    parent = (i - 1) / kArity;
-    if (!before(moving, heap_[parent])) break;
-  }
-  heap_[i] = moving;
-}
-
-void EventQueue::heap_remove_front() {
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return;
-  std::size_t hole = 0;
-  while (true) {
-    const std::size_t first = kArity * hole + 1;
-    if (first >= n) break;
-    // Past the hot top levels every level is a cache miss: fetch all four
-    // candidate grandchild groups — 16 entries, 512 bytes — while this
-    // level's minimum is being picked. Two entries per cache line.
-    const std::size_t grand = kArity * first + 1;
-    if (grand >= kPrefetchFrom) {
-      const std::size_t grand_end = std::min(grand + kArity * kArity, n);
-      for (std::size_t g = grand; g < grand_end; g += 2) {
-        __builtin_prefetch(&heap_[g]);
-      }
-      if (grand < grand_end) __builtin_prefetch(&heap_[grand_end - 1]);
-    }
-    std::size_t best = first;
-    const std::size_t end = std::min(first + kArity, n);
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (before(heap_[c], heap_[best])) best = c;
-    }
-    heap_[hole] = heap_[best];
-    hole = best;
-  }
-  heap_[hole] = last;
-  heap_sift_up(hole);
 }
 
 }  // namespace fba::sim

@@ -1,6 +1,7 @@
-// Tests for the strict numeric flag parsing shared by fba_sim, fba_repro and
-// the benches (bench/bench_util.h): malformed values exit 2 with a one-line
-// error instead of wrapping, truncating or silently falling back.
+// Tests for the strict flag parsing shared by fba_sim, fba_repro and the
+// benches (bench/bench_util.h): malformed values and repeated flags exit 2
+// with a one-line error instead of wrapping, truncating or silently falling
+// back.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -41,6 +42,15 @@ TEST(FlagValueDeathTest, RejectsMalformedValuesWithExitTwo) {
                     " \\(expected a non-negative integer\\)")
         << "value '" << value << "'";
   }
+}
+
+TEST(FlagValueDeathTest, RefusesARepeatedFlag) {
+  EXPECT_EXIT(parse_flag({"--n=64", "--n=32"}, "--n", 7),
+              ::testing::ExitedWithCode(2), "fba_sim: repeated flag --n\n");
+  EXPECT_EXIT(parse_flag({"--n=64", "--seed=1", "--n=64"}, "--n", 7),
+              ::testing::ExitedWithCode(2), "repeated flag --n");
+  // A flag whose name only starts with --n is another flag.
+  EXPECT_EQ(parse_flag({"--n=64", "--nodes=32"}, "--n", 7), 64u);
 }
 
 TEST(PositiveFlagDeathTest, RejectsZeroAndOverflow) {

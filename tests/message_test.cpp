@@ -111,8 +111,9 @@ TEST(MessageKindTest, NamesAreUniqueAndNonEmpty) {
 
 // ----- EventQueue ------------------------------------------------------------
 // Both storage modes must produce the same (at, pri, seq) delivery order;
-// every ordering test runs against the heap and the calendar buckets, each
-// through its own consumer: pop() on the heap, drain_due() on the buckets.
+// every ordering test runs against the calendar and the round buckets, each
+// through its own consumer: pop() on the calendar, drain_due() on the
+// buckets.
 
 /// What a consumer sees of one delivered event, in either mode.
 struct Delivered {
@@ -126,7 +127,7 @@ struct Delivered {
 std::vector<Delivered> take_due(EventQueue& q, EventQueue::Mode mode,
                                 SimTime until) {
   std::vector<Delivered> out;
-  if (mode == EventQueue::Mode::kHeap) {
+  if (mode == EventQueue::Mode::kCalendar) {
     while (!q.empty() && q.next_at() <= until) {
       const EventQueue::Event ev = q.pop();
       out.push_back({ev.at, ev.is_timer,
@@ -151,7 +152,7 @@ class EventQueueModes
     : public ::testing::TestWithParam<EventQueue::Mode> {};
 
 INSTANTIATE_TEST_SUITE_P(Modes, EventQueueModes,
-                         ::testing::Values(EventQueue::Mode::kHeap,
+                         ::testing::Values(EventQueue::Mode::kCalendar,
                                            EventQueue::Mode::kBuckets));
 
 TEST_P(EventQueueModes, FifoAmongEqualTimestamps) {
@@ -368,15 +369,16 @@ TEST(EventQueueBucketTest, PushIntoTheDrainedTickThrows) {
   EXPECT_THROW(q.push_message(0.5, 0, env), InvariantError);  // non-integral
 }
 
-// ----- heap mode: compact entries over the payload slab ---------------------
+// ----- calendar mode: compact entries over the payload slab -----------------
 
 /// Interleaved pushes and pops against an ordered map keyed (at, pri, seq):
 /// every pop must return the model's first entry with its payload intact —
 /// full 64-bit timer tokens, the sentinel timer node and recovery tags
 /// included. Times sit on a coarse grid so most keys tie on `at` and the
-/// pri/seq tie-breaks decide.
-TEST(EventQueueHeapTest, InterleavedPushPopMatchesOrderedModel) {
-  EventQueue q(EventQueue::Mode::kHeap);
+/// pri/seq tie-breaks decide, and a fifth of the pushes land in the slot
+/// being drained.
+TEST(EventQueueCalendarTest, InterleavedPushPopMatchesOrderedModel) {
+  EventQueue q(EventQueue::Mode::kCalendar);
   Rng rng(20130722);
   std::map<std::tuple<double, std::uint32_t, std::uint64_t>, QueuedEvent>
       model;
@@ -424,15 +426,15 @@ TEST(EventQueueHeapTest, InterleavedPushPopMatchesOrderedModel) {
     }
     ASSERT_EQ(q.size(), model.size());
   }
-  EXPECT_GT(q.peak_size(), 1000u);  // deep enough to sift many levels
+  EXPECT_GT(q.peak_size(), 1000u);  // slots many chunks long
 }
 
-/// Timers ride inline in the heap entry; only messages take a payload-slab
-/// slot, and a popped message's slot is reused by the next push, so the
-/// slab tracks the high-water of queued messages rather than the number
-/// ever sent.
-TEST(EventQueueHeapTest, TimersTakeNoSlabSlotAndSlotsAreReused) {
-  EventQueue q(EventQueue::Mode::kHeap);
+/// Timers ride inline in the calendar entry; only messages take a
+/// payload-slab slot, and a popped message's slot is reused by the next
+/// push, so the slab tracks the high-water of queued messages rather than
+/// the number ever sent.
+TEST(EventQueueCalendarTest, TimersTakeNoSlabSlotAndSlotsAreReused) {
+  EventQueue q(EventQueue::Mode::kCalendar);
   for (std::uint32_t i = 0; i < 100; ++i) {
     q.push_timer(10.0 + i, 0, i, i);
   }
@@ -460,13 +462,13 @@ TEST(EventQueueHeapTest, TimersTakeNoSlabSlotAndSlotsAreReused) {
   EXPECT_EQ(q.pop().seq, 0u);
 }
 
-/// Heap keys compare timestamps by their bit patterns, which order like the
-/// doubles only for non-negative values: -0.0 is folded into time zero, and
-/// negative or NaN timestamps — like out-of-range priority classes and
-/// burst descriptors, which belong to the sync engine — are rejected before
-/// anything is queued.
-TEST(EventQueueHeapTest, RejectsPushesOutsideTheKeyDomain) {
-  EventQueue q(EventQueue::Mode::kHeap);
+/// Calendar keys compare timestamps by their bit patterns, which order like
+/// the doubles only for non-negative values: -0.0 is folded into time zero,
+/// and negative, NaN or astronomically late timestamps — like out-of-range
+/// priority classes and burst descriptors, which belong to the sync engine —
+/// are rejected before anything is queued.
+TEST(EventQueueCalendarTest, RejectsPushesOutsideTheKeyDomain) {
+  EventQueue q(EventQueue::Mode::kCalendar);
   Envelope env;
   env.src = 1;
   q.push_message(0.25, 0, env);
@@ -474,6 +476,7 @@ TEST(EventQueueHeapTest, RejectsPushesOutsideTheKeyDomain) {
   q.push_message(-0.0, 0, env);
   EXPECT_THROW(q.push_message(-1.0, 0, env), InvariantError);
   EXPECT_THROW(q.push_timer(std::nan(""), 0, 0, 0), InvariantError);
+  EXPECT_THROW(q.push_timer(0x1p60, 0, 0, 0), InvariantError);
   EXPECT_THROW(q.push_message(1.0, EventQueue::kNumPriorities, env),
                InvariantError);
   EXPECT_THROW(q.push_burst(1.0, 0, env), InvariantError);  // sync-only
@@ -483,17 +486,19 @@ TEST(EventQueueHeapTest, RejectsPushesOutsideTheKeyDomain) {
   EXPECT_EQ(first.env.src, 2u);
   EXPECT_EQ(first.at, 0.0);
   EXPECT_EQ(q.pop().env.src, 1u);
+  q.push_message(0.25, 0, env);
+  EXPECT_EQ(q.pop().seq, 2u);  // rejected pushes took no seq either
 }
 
-// ----- heap mode: timer runs beside the heap --------------------------------
+// ----- calendar mode: slots walked in place or sorted once -------------------
 
 /// InterleavedPushPopMatchesOrderedModel's reference model, wrapped for the
-/// timer-run tests. Every push is at pri 0, so the model is keyed (at, seq).
+/// slot tests. Every push is at pri 0, so the model is keyed (at, seq).
 /// Each push goes to the queue and the model alike, and pop() checks the
 /// queue's next event against the model's first, payload included.
-class HeapReference {
+class OrderReference {
  public:
-  explicit HeapReference(EventQueue& q) : q_(q) {}
+  explicit OrderReference(EventQueue& q) : q_(q) {}
 
   void timer(SimTime at) {
     QueuedEvent ev;
@@ -503,7 +508,6 @@ class HeapReference {
                                       : static_cast<NodeId>(payload_ % 64);
     q_.push_timer(at, 0, ev.timer_node, ev.payload);
     model_.emplace(std::make_pair(at, seq_++), ev);
-    ++timers_;
   }
 
   void message(SimTime at) {
@@ -533,10 +537,20 @@ class HeapReference {
              << ", seq " << seq << ")";
     }
     now_ = at;
+    popped_.push_back(seq);
     model_.erase(it);
     if (q_.size() != model_.size()) {
       return ::testing::AssertionFailure()
              << "queue holds " << q_.size() << ", model " << model_.size();
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  /// Pops everything left, checking each event.
+  ::testing::AssertionResult drain() {
+    while (!model_.empty()) {
+      ::testing::AssertionResult ok = pop();
+      if (!ok) return ok;
     }
     return ::testing::AssertionSuccess();
   }
@@ -546,60 +560,73 @@ class HeapReference {
     q_.clear();
     model_.clear();
     seq_ = 0;
-    timers_ = 0;
     now_ = 0;
+    popped_.clear();
   }
 
   std::size_t size() const { return model_.size(); }
-  std::size_t timers() const { return timers_; }  ///< pushed since clear().
   SimTime now() const { return now_; }  ///< the last popped timestamp.
+  /// The seqs popped since clear(), in pop order.
+  const std::vector<std::uint64_t>& popped() const { return popped_; }
 
  private:
   EventQueue& q_;
   std::map<std::pair<SimTime, std::uint64_t>, QueuedEvent> model_;
   std::uint64_t seq_ = 0;
   std::uint64_t payload_ = 0;
-  std::size_t timers_ = 0;
   SimTime now_ = 0;
+  std::vector<std::uint64_t> popped_;
 };
+
+/// Every chunk is back on the free list: the queue is empty or cleared.
+::testing::AssertionResult AllChunksFree(const EventQueue& q) {
+  if (q.chunks_free() == q.chunks_allocated()) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << q.chunks_free() << " of " << q.chunks_allocated()
+         << " chunks free";
+}
 
 /// The recovery layer's shape: each tracked send queues its message at
 /// now + U(0, 1] and its retransmit timer at now + RTO, where the RTO is one
 /// of arq-fast's backoff levels over a base that drifts slowly up and down
-/// with time. Every timer must take a run — none enters the heap — while
-/// the order stays exact.
-TEST(EventQueueHeapTest, RecoveryShapedTimersNeverEnterTheHeap) {
+/// with time — so timers pass through the coarse ring and into the fine one.
+/// The order stays exact, and each slot's chunks go back as it drains.
+TEST(EventQueueCalendarTest, RecoveryShapedStreamsPopInOrder) {
   constexpr SimTime kRto[] = {2.5, 3.75, 5.625, 8.0};
-  EventQueue q(EventQueue::Mode::kHeap);
-  HeapReference ref(q);
+  EventQueue q(EventQueue::Mode::kCalendar);
+  OrderReference ref(q);
   Rng rng(20130722);
+  std::size_t timers = 0;
   for (int step = 0; step < 200000; ++step) {
     if (ref.size() == 0 || (ref.size() < 12000 && rng.below(2) == 0)) {
       const SimTime now = ref.now();
       const SimTime base = 0.1 * (1 + std::sin(now / 4));
       ref.message(now + rng.uniform_positive());
       ref.timer(now + base + kRto[rng.below(4)]);
+      ++timers;
     } else {
       ASSERT_TRUE(ref.pop()) << "step " << step;
     }
   }
-  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
-  EXPECT_GT(ref.timers(), 50000u);
+  ASSERT_TRUE(ref.drain());
+  EXPECT_GT(timers, 50000u);
   EXPECT_GT(ref.now(), 30.0);  // a full period of the base's drift
-  EXPECT_EQ(q.timer_fallbacks(), 0u);
-  EXPECT_GT(q.peak_size(), 4 * EventQueue::kRunChunkEntries);
+  EXPECT_GT(q.peak_size(), 10000u);
+  EXPECT_TRUE(AllChunksFree(q));
 }
 
-/// More interleaved timer streams than there are runs, each starting below
-/// the last: a stream's first timer sorts before every run's tail, so the
-/// first eight open a run each and the rest go to the heap, stream after
-/// stream. Messages and pops interleave throughout; the order must stay
-/// exact.
-TEST(EventQueueHeapTest, DescendingStreamsBeyondTheRunCountFallBackExactly) {
-  constexpr std::size_t kStreams = EventQueue::kTimerRuns + 5;
+/// Thirteen interleaved timer streams, each starting below the last: every
+/// slot they share is filled out of key order, so it must be sorted when it
+/// comes due, and a stream's next timer often lands before events already
+/// popped, so it must pop next, as from any priority queue. Messages and
+/// pops interleave throughout; the order must stay exact.
+TEST(EventQueueCalendarTest, DescendingStreamsPopInOrder) {
+  constexpr std::size_t kStreams = 13;
   constexpr std::size_t kRounds = 3000;
-  EventQueue q(EventQueue::Mode::kHeap);
-  HeapReference ref(q);
+  EventQueue q(EventQueue::Mode::kCalendar);
+  OrderReference ref(q);
   Rng rng(7);
   for (std::size_t k = 0; k < kRounds; ++k) {
     for (std::size_t s = 0; s < kStreams; ++s) {
@@ -610,104 +637,221 @@ TEST(EventQueueHeapTest, DescendingStreamsBeyondTheRunCountFallBackExactly) {
       ASSERT_TRUE(ref.pop()) << "round " << k;
     }
   }
-  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
-  EXPECT_EQ(q.timer_fallbacks(),
-            (kStreams - EventQueue::kTimerRuns) * kRounds);
+  ASSERT_TRUE(ref.drain());
+  EXPECT_TRUE(AllChunksFree(q));
 }
 
-/// A run longer than four chunks drains while a second ascending stream,
-/// interleaved with it in time, fills another run from the chunks the
-/// first hands back; once both are empty, a third stream takes a run again
-/// without allocating a chunk.
-TEST(EventQueueHeapTest, DrainedRunReturnsItsChunksAndTakesANewStream) {
-  constexpr std::size_t kLong = 4 * EventQueue::kRunChunkEntries +
-                                EventQueue::kRunChunkEntries / 2;
-  constexpr SimTime kStep = 1.0 / 1024;
-  EventQueue q(EventQueue::Mode::kHeap);
-  HeapReference ref(q);
+/// A stream eight chunks per slot long drains while a second ascending
+/// stream, five slots behind it, fills its slots from the chunks the first
+/// hands back; once both are empty, every chunk is free, and a third stream
+/// of the same shape allocates none.
+TEST(EventQueueCalendarTest, DrainedSlotsReturnTheirChunks) {
+  constexpr std::size_t kPerSlot = 8 * EventQueue::kSlotChunkEntries;
+  constexpr std::size_t kLong = 5 * kPerSlot;
+  constexpr SimTime kSlot = 1.0 / EventQueue::kSlotsPerUnit;
+  constexpr SimTime kStep = kSlot / kPerSlot;
+  EventQueue q(EventQueue::Mode::kCalendar);
+  OrderReference ref(q);
   for (std::size_t i = 0; i < kLong; ++i) {
-    ref.timer(10.0 + kStep * static_cast<double>(i));
+    ref.timer(1.0 + kStep * static_cast<double>(i));
   }
-  EXPECT_EQ(q.chunks_allocated(), 5u);  // one run, 4.5 chunks
-  // Each pop is followed by a timer just after it: the new stream sorts
-  // below the first run's tail, so it opens a run of its own.
+  const std::size_t cold = q.chunks_allocated();
+  EXPECT_EQ(cold, kLong / EventQueue::kSlotChunkEntries);
   for (std::size_t i = 0; i < kLong; ++i) {
     ASSERT_TRUE(ref.pop()) << "pop " << i;
-    ref.timer(ref.now() + kStep / 2);
+    ref.timer(ref.now() + 5 * kSlot);
   }
-  EXPECT_LT(q.chunks_allocated(), 2 * 5u);  // the second run reused chunks
-  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
+  EXPECT_LE(q.chunks_allocated(), cold + 1);  // the second stream reused
+  ASSERT_TRUE(ref.drain());
+  EXPECT_TRUE(AllChunksFree(q));
   const std::size_t chunks = q.chunks_allocated();
   for (std::size_t i = 0; i < kLong; ++i) {
-    ref.timer(20.0 + kStep * static_cast<double>(i));
+    ref.timer(ref.now() + 0.5 + kStep * static_cast<double>(i));
   }
   EXPECT_EQ(q.chunks_allocated(), chunks);
-  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
-  EXPECT_EQ(q.timer_fallbacks(), 0u);
+  ASSERT_TRUE(ref.drain());
+  EXPECT_TRUE(AllChunksFree(q));
 }
 
-/// Events tied on `at` go by seq whichever store holds them: run entries,
-/// timers the runs turned away to the heap, and messages.
-TEST(EventQueueHeapTest, TiesOnTimeGoBySeqAcrossRunsAndHeap) {
-  EventQueue q(EventQueue::Mode::kHeap);
-  HeapReference ref(q);
-  ref.message(5.0);
-  ref.timer(5.0);  // opens run 0
-  ref.message(5.0);
-  ref.timer(5.0);  // joins run 0
-  ref.timer(12.0);  // joins run 0, whose tail is now past 5.0
-  // Seven more runs, each tail past 5.0: 11, 10, ..., 6, then 5.5.
-  for (SimTime at = 11.0; at >= 6.0; --at) ref.timer(at);
-  ref.timer(5.5);
-  EXPECT_EQ(q.timer_fallbacks(), 0u);
-  ref.message(5.0);
-  ref.timer(5.0);  // no run can take it: to the heap
-  ref.message(5.0);
+/// Events tied on `at` go by seq wherever they waited: in a coarse unit, in
+/// a fine slot the unit spilled into, pushed straight into that slot once
+/// the window reached it, or pushed into it while it drains.
+TEST(EventQueueCalendarTest, TiesOnTimeGoBySeqAcrossTiers) {
+  EventQueue q(EventQueue::Mode::kCalendar);
+  OrderReference ref(q);
+  ref.message(5.0);  // beyond the fine window: a coarse unit
   ref.timer(5.0);
-  EXPECT_EQ(q.timer_fallbacks(), 2u);
+  ref.timer(12.0);
+  ref.message(5.0);
+  ref.timer(4.5);
+  EXPECT_EQ(q.next_at(), 4.5);  // read from the coarse ring
+  ASSERT_TRUE(ref.pop());       // 4.5: the window takes in 5.0's unit
+  ref.timer(5.0);               // straight into the spilled slot
+  ref.message(5.0);
   EXPECT_EQ(q.next_at(), 5.0);
-  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
+  ASSERT_TRUE(ref.pop());  // opens 5.0's slot, in place
+  ref.timer(5.0);          // sorts last: appended in place
+  ref.message(5.0);
+  EXPECT_EQ(q.next_at(), 5.0);
+  ASSERT_TRUE(ref.drain());
+  EXPECT_TRUE(AllChunksFree(q));
 }
 
-/// clear() mid-stream empties the runs and restarts seq, and refilling the
-/// queue with the same stream allocates no new chunk.
-TEST(EventQueueHeapTest, ClearMidStreamEmptiesRunsAndReusesChunks) {
-  EventQueue q(EventQueue::Mode::kHeap);
-  HeapReference ref(q);
-  auto fill = [&] {
+/// Constant-delay streams (the overload strategy's 1.0 and 0.05 delays, a
+/// same-RTO timer at 2.5) fill their slots in key order and are walked in
+/// place; interleaved uniform delays land in the same slots out of order,
+/// which must then be sorted. Both kinds, and their mix, pop exactly.
+TEST(EventQueueCalendarTest, ConstantDelaysInterleavedWithUniformOnes) {
+  EventQueue q(EventQueue::Mode::kCalendar);
+  OrderReference ref(q);
+  Rng rng(99);
+  for (int step = 0; step < 60000; ++step) {
+    if (ref.size() == 0 || (ref.size() < 4000 && rng.below(2) == 0)) {
+      const SimTime now = ref.now();
+      switch (rng.below(4)) {
+        case 0:
+          ref.message(now + 1.0);
+          break;
+        case 1:
+          ref.message(now + 0.05);
+          break;
+        case 2:
+          ref.timer(now + 2.5);
+          break;
+        default:
+          // A phase of uniform delays every few time units.
+          if (static_cast<int>(now) % 3 == 0) {
+            ref.message(now + rng.uniform_positive());
+          } else {
+            ref.message(now + 1.0);
+          }
+      }
+    } else {
+      ASSERT_TRUE(ref.pop()) << "step " << step;
+    }
+  }
+  ASSERT_TRUE(ref.drain());
+  EXPECT_GT(ref.now(), 20.0);
+  EXPECT_TRUE(AllChunksFree(q));
+}
+
+/// Pushes into the slot being drained. While that slot is walked in place,
+/// a push that sorts after its last entry is appended there; one that sorts
+/// before it sends the remainder to the sorted scratch, where it — and any
+/// later push, early or late — goes in at its position.
+TEST(EventQueueCalendarTest, LatePushesIntoTheDrainedSlot) {
+  constexpr SimTime kTick = 1.0 / EventQueue::kSlotsPerUnit;
+  constexpr SimTime kT = 3.0;  // a slot's first instant
+  EventQueue q(EventQueue::Mode::kCalendar);
+  OrderReference ref(q);
+  for (int pass = 0; pass < 2; ++pass) {
+    ref.clear();
+    ref.timer(kT);
+    ref.message(kT + 0.1 * kTick);
+    ref.timer(kT + 0.2 * kTick);
+    ref.message(kT + 0.3 * kTick);
+    ASSERT_TRUE(ref.pop());              // opens the slot, in key order
+    ref.timer(kT + 0.5 * kTick);         // after the last: in place
+    ref.message(kT + 0.4 * kTick);       // before the last: to the scratch
+    ref.timer(kT + 0.05 * kTick);        // into the scratch, at the front
+    ref.message(kT + 0.9 * kTick);       // into the scratch, at the back
+    ref.timer(kT + 0.3 * kTick);         // ties go by seq
+    ref.message(kT + kTick);             // the next slot
+    ASSERT_TRUE(ref.drain());
+    EXPECT_TRUE(AllChunksFree(q));
+  }
+}
+
+/// Timers at RTO 64 (arq-patient's cap) lie far beyond the fine ring and
+/// the coarse ring's initial span: pushed while a slot drains, they grow the
+/// coarse ring, and come back in order once the window reaches them.
+TEST(EventQueueCalendarTest, FarTimersGrowTheRingWhileASlotDrains) {
+  EventQueue q(EventQueue::Mode::kCalendar);
+  OrderReference ref(q);
+  Rng rng(20130722);
+  for (int i = 0; i < 64; ++i) ref.message(0.5 + 0.001 * i);
+  ASSERT_TRUE(ref.pop());  // 0.5's slot is open
+  for (int step = 0; step < 20000; ++step) {
+    if (ref.size() == 0 || rng.below(2) == 0) {
+      const SimTime now = ref.now();
+      ref.message(now + rng.uniform_positive());
+      if (rng.below(8) == 0) ref.timer(now + 64.0 * rng.uniform_positive());
+      if (rng.below(64) == 0) ref.timer(now + 64.0);
+    } else {
+      ASSERT_TRUE(ref.pop()) << "step " << step;
+    }
+  }
+  ASSERT_TRUE(ref.drain());
+  EXPECT_GT(ref.now(), 64.0);
+  EXPECT_TRUE(AllChunksFree(q));
+}
+
+/// A queue of one or two events — a ping-pong, the async engine at n=2 —
+/// walks the whole ring over and over, so finding the next occupied slot
+/// must wrap from the bitmap's last word to its first.
+TEST(EventQueueCalendarTest, SparseQueueSearchWrapsAroundTheRing) {
+  EventQueue q(EventQueue::Mode::kCalendar);
+  OrderReference ref(q);
+  Rng rng(3);
+  ref.message(0.7);
+  for (int step = 0; step < 2000; ++step) {
+    ASSERT_TRUE(ref.pop()) << "step " << step;
+    ref.message(ref.now() + 0.3 + 0.6 * rng.uniform());
+    if (step % 5 == 0) ref.timer(ref.now() + 1.0);
+    if (ref.size() > 2) {
+      ASSERT_TRUE(ref.pop());
+    }
+  }
+  ASSERT_TRUE(ref.drain());
+  EXPECT_GT(ref.now(), 500.0);
+  EXPECT_TRUE(AllChunksFree(q));
+}
+
+/// clear() in the middle of a drain — with a slot open in place, another
+/// sorted, coarse units pending — returns the queue to its cold state: the
+/// same stream again gives the same seqs in the same order, on the chunks
+/// it already has.
+TEST(EventQueueCalendarTest, ClearMidDrainRestoresTheColdState) {
+  EventQueue q(EventQueue::Mode::kCalendar);
+  OrderReference ref(q);
+  auto fill = [&](bool to_the_end) {
     Rng rng(99);
     for (int i = 0; i < 4000; ++i) {
       ref.message(ref.now() + rng.uniform_positive());
       ref.timer(ref.now() + 2.5 + 0.001 * static_cast<double>(i % 3));
-      ref.timer(50.0 - 0.01 * static_cast<double>(i));  // some to the heap
+      ref.timer(50.0 - 0.01 * static_cast<double>(i));  // out of order
       if (i % 2 == 0) {
         ASSERT_TRUE(ref.pop()) << "pop " << i;
       }
     }
+    if (to_the_end) {
+      ASSERT_TRUE(ref.drain());
+    }
   };
-  fill();
+  fill(true);
+  const std::vector<std::uint64_t> reference = ref.popped();
   const std::size_t chunks = q.chunks_allocated();
   EXPECT_GT(chunks, 2u);
-  EXPECT_GT(q.timer_fallbacks(), 0u);
+  EXPECT_TRUE(AllChunksFree(q));
+
+  ref.clear();
+  fill(false);  // stops mid-drain
+  ASSERT_GT(ref.size(), 0u);
   ref.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.slab_slots(), 0u);
-  EXPECT_EQ(q.timer_fallbacks(), 0u);
-  // Only empty runs can take eight descending timers, one each; a ninth,
-  // earlier still, goes to the heap.
-  for (std::size_t k = 0; k < EventQueue::kTimerRuns; ++k) {
-    ref.timer(100.0 - static_cast<double>(k));
-  }
-  EXPECT_EQ(q.timer_fallbacks(), 0u);
+  EXPECT_TRUE(AllChunksFree(q));
+  ref.timer(100.0);
   ref.timer(1.0);
-  EXPECT_EQ(q.timer_fallbacks(), 1u);
   const EventQueue::Event first = q.pop();  // seq restarted at 0
   EXPECT_EQ(first.at, 1.0);
-  EXPECT_EQ(first.seq, EventQueue::kTimerRuns);
+  EXPECT_EQ(first.seq, 1u);
+
   ref.clear();
-  fill();
-  while (ref.size() > 0) ASSERT_TRUE(ref.pop());
+  fill(true);
+  EXPECT_EQ(ref.popped(), reference);
   EXPECT_EQ(q.chunks_allocated(), chunks);
+  EXPECT_TRUE(AllChunksFree(q));
 }
 
 }  // namespace

@@ -172,7 +172,7 @@ TEST(ScaleMemoryTest, WarmArenaReportsSameBytesAsCold) {
     EXPECT_EQ(first[t].mem_bytes_per_node, rerun[t].mem_bytes_per_node) << t;
     EXPECT_EQ(first[t].mem_bytes_per_node, cold[t].mem_bytes_per_node) << t;
   }
-  // And across the async engine too (heap queue, normalized time).
+  // And across the async engine too (calendar queue, normalized time).
   const exp::GridPoint async_point =
       grid_point(aer::Model::kAsync, "none", "", 1);
   exp::ScaleArena async_warm;
