@@ -234,8 +234,7 @@ void AerNode::handle_fw1(sim::Context& ctx, NodeId from, const sim::Message& m) 
   // that label (vouched) re-checks only its sender. The fired test stays
   // behind the label test: a copy under any other label walks every check,
   // building the same sampler rows as before.
-  const RelayState::Fw1Lookup found = relay_.find_fw1(m.a, m.s, m.b);
-  RelayState::Fw1Tally* tally = found.tally;
+  RelayState::Fw1Tally* tally = relay_.find_fw1(m.a, m.s, m.b);
   const bool vouched = tally != nullptr && tally->r == m.r;
   if (vouched && tally->fired) return;
   if (!vouched && !shared_->pull_quorum(m.s, m.b).contains(self_)) {
@@ -251,7 +250,7 @@ void AerNode::handle_fw1(sim::Context& ctx, NodeId from, const sim::Message& m) 
   // Vouching is tallied even when s is not (yet) our belief; the Fw2 is only
   // emitted while s = s_this (now or after deciding on s).
   if (tally == nullptr) {
-    tally = &relay_.add_fw1(found, m.b);
+    tally = &relay_.fw1(m.a, m.s, m.b);
     tally->r = m.r;
   }
   if (tally->fired || !credit(tally->counted, hit.pos)) return;

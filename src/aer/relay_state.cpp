@@ -45,30 +45,27 @@ void RelayState::retain_pull(NodeId x, StringId s, PollLabel r) {
   pending_.push_back({xs, r});
 }
 
-RelayState::Fw1Lookup RelayState::find_fw1(NodeId x, StringId s, NodeId w) {
-  Fw1Lookup found;
-  found.xs_ = pack(x, s);
-  found.slot_ = index_.find(found.xs_);
-  if (found.slot_ == nullptr) return found;
-  for (std::uint32_t i = found.slot_->fw1; i != kNone; i = fw1_[i].next) {
-    if (fw1_[i].w == w) {
-      found.tally = &fw1_[i].tally;
-      return found;
-    }
-    found.tail_ = i;
+RelayState::Fw1Tally& RelayState::fw1(NodeId x, StringId s, NodeId w) {
+  const std::uint64_t xs = pack(x, s);
+  std::uint32_t* link = &index_.get_or_create(xs).fw1;
+  while (*link != kNone) {
+    Fw1Entry& e = fw1_[*link];
+    if (e.w == w) return e.tally;
+    link = &e.next;
   }
-  return found;
+  // Link before appending: the append may move the entry `link` points into.
+  *link = static_cast<std::uint32_t>(fw1_.size());
+  fw1_.push_back({xs, w, kNone, {}});
+  return fw1_.back().tally;
 }
 
-RelayState::Fw1Tally& RelayState::add_fw1(const Fw1Lookup& miss, NodeId w) {
-  FBA_ASSERT(miss.tally == nullptr, "add_fw1 after a hit");
-  Slot& slot =
-      miss.slot_ != nullptr ? *miss.slot_ : index_.get_or_create(miss.xs_);
-  // Link before appending: the append may move the entry the link is in.
-  const auto index = static_cast<std::uint32_t>(fw1_.size());
-  (miss.tail_ == kNone ? slot.fw1 : fw1_[miss.tail_].next) = index;
-  fw1_.push_back({miss.xs_, w, kNone, {}});
-  return fw1_.back().tally;
+RelayState::Fw1Tally* RelayState::find_fw1(NodeId x, StringId s, NodeId w) {
+  const Slot* slot = index_.find(pack(x, s));
+  if (slot == nullptr) return nullptr;
+  for (std::uint32_t i = slot->fw1; i != kNone; i = fw1_[i].next) {
+    if (fw1_[i].w == w) return &fw1_[i].tally;
+  }
+  return nullptr;
 }
 
 RelayState::Responder& RelayState::responder(NodeId x, StringId s) {

@@ -23,9 +23,7 @@
 // `r` passed all three of Algorithm 2's checks, and two of them (this in
 // H(s, w), w in J(x, r)) do not depend on the sender. So the actors look
 // the tally up first (find_fw1): a later copy under the same label returns
-// at once if the tally has fired, and otherwise checks only its sender. A
-// miss remembers where the (x, s) chain ends, so the copy that creates the
-// tally (add_fw1) appends it there without probing the index again.
+// at once if the tally has fired, and otherwise checks only its sender.
 //
 // Serve order. After deciding, a node serves the retained entries of each
 // role that have become due (serve()). Simulation behavior depends on send
@@ -68,9 +66,6 @@ struct RelayScratch {
 };
 
 class RelayState {
-  struct Slot;
-  static constexpr std::uint32_t kNone = ~0u;
-
  public:
   struct Fw1Tally {
     PollLabel r = 0;            ///< label of the copy that created it.
@@ -93,24 +88,10 @@ class RelayState {
   /// Retains a pull for a string that is not (yet) our belief. One slot per
   /// (x, s): the first label wins.
   void retain_pull(NodeId x, StringId s, PollLabel r);
-  /// What find_fw1 saw: the tally, or on a miss where a new one goes.
-  class Fw1Lookup {
-   public:
-    Fw1Tally* tally = nullptr;  ///< the (x, s, w) tally; nullptr on a miss.
-
-   private:
-    friend class RelayState;
-    std::uint64_t xs_ = 0;
-    Slot* slot_ = nullptr;       ///< (x, s)'s index slot, if it has one.
-    std::uint32_t tail_ = kNone;  ///< the chain's last entry, if any.
-  };
-  /// Looks up the tally of Fw1(x, s, r, w) copies. Creates nothing.
-  Fw1Lookup find_fw1(NodeId x, StringId s, NodeId w);
-  /// Creates the tally a miss was for, at the tail of its (x, s) chain —
-  /// order_fw1 replays the chain head to tail, so the tail keeps creation
-  /// order. `miss` must be this RelayState's latest lookup, with nothing
-  /// added since.
-  Fw1Tally& add_fw1(const Fw1Lookup& miss, NodeId w);
+  /// The tally of Fw1(x, s, r, w) copies, created on first sight.
+  Fw1Tally& fw1(NodeId x, StringId s, NodeId w);
+  /// The (x, s, w) tally if one was created, else nullptr. Creates nothing.
+  Fw1Tally* find_fw1(NodeId x, StringId s, NodeId w);
   /// The responder state for (x, s), created on first sight.
   Responder& responder(NodeId x, StringId s);
   const Responder* find_responder(NodeId x, StringId s) const;
@@ -132,6 +113,8 @@ class RelayState {
   void charge_mem(support::MemBudget& mem) const;
 
  private:
+  static constexpr std::uint32_t kNone = ~0u;
+
   static std::uint64_t pack(NodeId x, StringId s) {
     return (static_cast<std::uint64_t>(x) << 32) | s;
   }

@@ -240,8 +240,7 @@ void SoaAerState::expand(const sim::Envelope& burst, sim::SyncEngine& engine) {
 void SoaAerState::handle_fw1(sim::Context& ctx, NodeId self, NodeId from,
                              const sim::Message& m) {
   RelayState& relay = relay_[self];
-  const RelayState::Fw1Lookup found = relay.find_fw1(m.a, m.s, m.b);
-  RelayState::Fw1Tally* tally = found.tally;
+  RelayState::Fw1Tally* tally = relay.find_fw1(m.a, m.s, m.b);
   const bool vouched = tally != nullptr && tally->r == m.r;
   if (vouched && tally->fired) return;
   if (!vouched && !shared_->pull_quorum(m.s, m.b).contains(self)) {
@@ -255,7 +254,7 @@ void SoaAerState::handle_fw1(sim::Context& ctx, NodeId self, NodeId from,
   }
 
   if (tally == nullptr) {
-    tally = &relay.add_fw1(found, m.b);
+    tally = &relay.fw1(m.a, m.s, m.b);
     tally->r = m.r;
   }
   if (tally->fired || !credit(tally->counted, hit.pos)) return;

@@ -1,8 +1,5 @@
 #include "net/event_queue.h"
 
-#include <algorithm>
-#include <bit>
-
 #include "net/recovery.h"
 
 namespace fba::sim {
@@ -197,7 +194,8 @@ void EventQueue::open_front() {
     while (far_.slots[far_.head].head == nullptr) far_.pop_front();
     cal_tick_ = far_.base * kSlotsPerUnit;
     spill_far();
-    FBA_ASSERT(find_occupied(cal_tick_, index), "spilled unit not found");
+    const bool found = find_occupied(cal_tick_, index);
+    FBA_ASSERT(found, "spilled unit not found");
   }
   cal_tick_ += (index - cal_tick_) & kFineMask;
   spill_far();  // every unit past the slot is later than all of it

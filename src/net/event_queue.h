@@ -19,12 +19,13 @@
 // pools keep their chunks across clear(): a warm queue allocates nothing.
 //   - kCalendar (async engine, continuous time, pop()): time `at` falls in
 //     slot floor(at * kSlotsPerUnit), monotone in `at`, so slots come due
-//     in key order. A slot whose appends arrived in key order (constant
-//     delays, same-RTO timers) is walked in place; any other is copied out
-//     and sorted once, by the full key, when it comes due. So the order is
-//     exact for any input. A 64-bit occupancy bitmap finds the next
-//     non-empty slot. Events past the fine ring's two time units (backed-off
-//     timers, jitter) wait in a coarse ring of one chain per time unit.
+//     in key order. A slot whose appends arrived in key order is walked in
+//     place (on async-lossy-arq, 85% of slots and 93% of events); any other
+//     is copied out and sorted once, by the full key, when it comes due. So
+//     the order is exact for any input. Eight 64-bit occupancy words find
+//     the next non-empty slot. Events past the fine ring's two time units
+//     (backed-off timers, jitter) wait in a coarse ring of one chain per
+//     time unit.
 //   - kBuckets (sync engine, integral rounds, drain_due()): one bucket per
 //     round, one lane per priority class, each lane a chain of LaneEntries
 //     visited in place: nothing is copied or sorted.

@@ -127,12 +127,6 @@ struct Keys {
 
 std::size_t bucket_of(std::size_t due) { return due < 2 ? due : 2; }
 
-/// The (x, s, w) tally, created on a miss — the actors' find-then-add.
-RelayState::Fw1Tally& fw1(RelayState& relay, NodeId x, StringId s, NodeId w) {
-  const RelayState::Fw1Lookup found = relay.find_fw1(x, s, w);
-  return found.tally != nullptr ? *found.tally : relay.add_fw1(found, w);
-}
-
 TEST(RelayStateTest, ServeOrderMatchesUnorderedMapReferences) {
   Rng rng(20130722);
   RelayScratch scratch;  // shared across cases, as across a trial's nodes
@@ -167,12 +161,10 @@ TEST(RelayStateTest, ServeOrderMatchesUnorderedMapReferences) {
           const auto outer = ref.fw1.try_emplace(xs);
           const auto inner = outer.first->second.try_emplace(w);
           RefTally& want = inner.first->second;
-          const RelayState::Fw1Lookup found = relay.find_fw1(x, s, w);
-          const bool created = found.tally == nullptr;
+          const bool created = relay.find_fw1(x, s, w) == nullptr;
           ASSERT_EQ(created, inner.second);
-          RelayState::Fw1Tally& got =
-              created ? relay.add_fw1(found, w) : *found.tally;
-          ASSERT_EQ(relay.find_fw1(x, s, w).tally, &got);
+          RelayState::Fw1Tally& got = relay.fw1(x, s, w);
+          ASSERT_EQ(relay.find_fw1(x, s, w), &got);
           if (created) want.r = got.r = r;
           const auto vote = static_cast<std::uint32_t>(rng.below(max_vote));
           want.slots += vote;
@@ -250,16 +242,16 @@ TEST(RelayStateTest, LookupsAndGuards) {
 
   // Chained Fw1 tallies: one per w, found again on every later copy;
   // find_fw1 creates nothing.
-  EXPECT_EQ(relay.find_fw1(3, 1, 10).tally, nullptr);
-  fw1(relay, 3, 1, 10).slots = 4;
-  EXPECT_EQ(relay.find_fw1(3, 1, 11).tally, nullptr);
-  fw1(relay, 3, 1, 11).slots = 6;
-  ASSERT_NE(relay.find_fw1(3, 1, 10).tally, nullptr);
-  EXPECT_EQ(relay.find_fw1(3, 1, 10).tally->slots, 4u);
-  EXPECT_EQ(fw1(relay, 3, 1, 10).slots, 4u);
-  EXPECT_EQ(fw1(relay, 3, 1, 11).slots, 6u);
-  EXPECT_EQ(relay.find_fw1(3, 2, 10).tally, nullptr);  // other string, no chain
-  EXPECT_EQ(relay.find_fw1(4, 1, 10).tally, nullptr);  // other requester
+  EXPECT_EQ(relay.find_fw1(3, 1, 10), nullptr);
+  relay.fw1(3, 1, 10).slots = 4;
+  EXPECT_EQ(relay.find_fw1(3, 1, 11), nullptr);
+  relay.fw1(3, 1, 11).slots = 6;
+  ASSERT_NE(relay.find_fw1(3, 1, 10), nullptr);
+  EXPECT_EQ(relay.find_fw1(3, 1, 10)->slots, 4u);
+  EXPECT_EQ(relay.fw1(3, 1, 10).slots, 4u);
+  EXPECT_EQ(relay.fw1(3, 1, 11).slots, 6u);
+  EXPECT_EQ(relay.find_fw1(3, 2, 10), nullptr);  // other string, no chain
+  EXPECT_EQ(relay.find_fw1(4, 1, 10), nullptr);  // other requester
 
   // The first retained label wins; serving drops the retained pulls, after
   // which the same (x, s) can be retained again.
@@ -276,32 +268,8 @@ TEST(RelayStateTest, LookupsAndGuards) {
 
   relay.clear();
   EXPECT_EQ(relay.find_responder(3, 1), nullptr);
-  EXPECT_EQ(relay.find_fw1(3, 1, 10).tally, nullptr);
+  EXPECT_EQ(relay.find_fw1(3, 1, 10), nullptr);
   EXPECT_TRUE(relay.mark_forwarded(3, 1));
-}
-
-/// A tally created after a miss goes at the tail of its (x, s) chain, both
-/// when the miss found no index slot and when it walked a chain: serve
-/// replays each chain head to tail into a fresh map, so only the tail keeps
-/// the creation order the old per-(x, s) map saw, and with it the old map's
-/// serve order.
-TEST(RelayStateTest, TallyCreatedAfterAMissJoinsTheChainTail) {
-  RelayState relay;
-  RelayScratch scratch;
-  EXPECT_TRUE(relay.mark_forwarded(4, kCurrent));  // a slot with no chain
-  for (const NodeId x : {3u, 4u}) {
-    std::unordered_map<NodeId, RefTally> ref;  // the old inner map
-    for (const NodeId w : {10u, 11u, 12u, 40u, 27u}) {
-      const RelayState::Fw1Lookup miss = relay.find_fw1(x, kCurrent, w);
-      ASSERT_EQ(miss.tally, nullptr);
-      relay.add_fw1(miss, w).slots = kQuorum;
-      ref.try_emplace(w);
-      ASSERT_NE(relay.find_fw1(x, kCurrent, w).tally, nullptr);
-    }
-    std::vector<Fired> want;
-    for (const auto& entry : ref) want.emplace_back(x, kCurrent, entry.first, 0);
-    EXPECT_EQ(serve_relay(relay, scratch).fired, want) << "x " << x;
-  }
 }
 
 }  // namespace
