@@ -547,7 +547,7 @@ void BM_WarmTrialAllocations(benchmark::State& state) {
 BENCHMARK(BM_WarmTrialAllocations);
 
 /// The service-mode zero-allocation contract, one level above
-/// BM_WarmTrialAllocations: once a pipeline worker's arena is warm, a full
+/// BM_WarmTrialAllocations: once a service worker's arena is warm, a full
 /// service *instance* — ServicePlan::configure re-key, world rebuild, engine
 /// run, outcome harvest — must not touch the heap. This is the
 /// cross-instance amortization exp::Service is built on; any allocation

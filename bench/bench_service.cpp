@@ -1,4 +1,4 @@
-// Heavy-traffic service mode: repeated consensus as a streaming pipeline
+// Heavy-traffic service mode: repeated consensus as a stream of instances
 // (exp::Service), measured the way a deployed agreement service would be —
 // sustained instances/sec and tail decision latency, not per-run totals.
 //
@@ -15,8 +15,8 @@
 // fraction instance to instance — versus the memoryless baseline.
 //
 // Decision latencies are simulated protocol time (deterministic, in the
-// fingerprint); instances/sec, wall-ms quantiles and queue depth/block
-// counts are wall-clock load (reported, never fingerprinted).
+// fingerprint); instances/sec and wall-ms quantiles are wall-clock load
+// (reported, never fingerprinted).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -40,9 +40,7 @@ void add_service_row(Table& table, const char* mode,
                  Table::num(s.agreement_rate(), 2), Table::num(s.wrong_decisions),
                  Table::num(s.decision_latency.quantile(0.50), 2),
                  Table::num(s.decision_latency.quantile(0.99), 2),
-                 Table::num(s.decision_latency.quantile(0.999), 2),
-                 Table::num(r.load.jobs.mean_depth(), 2),
-                 Table::num(r.load.jobs.push_blocks + r.load.done.push_blocks)});
+                 Table::num(s.decision_latency.quantile(0.999), 2)});
 }
 
 }  // namespace
@@ -95,7 +93,7 @@ int main(int argc, char** argv) {
               base_config.base.n, base_config.base.resolved_d(),
               static_cast<unsigned long long>(instances), opt.threads);
   Table table({"mode", "attack", "fault", "inst", "inst/s", "agree", "wrong",
-               "dec p50", "dec p99", "dec p999", "q-depth", "blocks"});
+               "dec p50", "dec p99", "dec p999"});
   Stopwatch watch;
 
   exp::ServiceConfig cold = base_config;
@@ -155,8 +153,7 @@ int main(int argc, char** argv) {
               base_config.base.n,
               static_cast<unsigned long long>(instances));
   Table adversary({"mode", "attack", "fault", "inst", "inst/s", "agree",
-                   "wrong", "dec p50", "dec p99", "dec p999", "q-depth",
-                   "blocks"});
+                   "wrong", "dec p50", "dec p99", "dec p999"});
   struct AdversaryCase {
     const char* attack;
     const char* fault;

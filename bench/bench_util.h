@@ -459,10 +459,6 @@ inline exp::ReportPoint service_report_point(std::size_t index,
   rp.load.wall_ms_p50 = r.load.instance_wall_ms.quantile(0.50);
   rp.load.wall_ms_p99 = r.load.instance_wall_ms.quantile(0.99);
   rp.load.wall_ms_p999 = r.load.instance_wall_ms.quantile(0.999);
-  rp.load.queue_depth_mean = r.load.jobs.mean_depth();
-  rp.load.queue_depth_max = r.load.jobs.depth_max;
-  rp.load.push_blocks = r.load.jobs.push_blocks + r.load.done.push_blocks;
-  rp.load.pop_blocks = r.load.jobs.pop_blocks + r.load.done.pop_blocks;
   return rp;
 }
 

@@ -589,8 +589,8 @@ exp::Report run_service_figure(const Options& opt, std::size_t trials,
     config.attack = plan.attack;
     config.fault = plan.fault;
     config.instances = instances;
-    config.workers = opt.threads;
-    pool.note(opt.threads, false);
+    config.workers = std::min<std::size_t>(opt.threads, instances);
+    pool.note(config.workers, false);  // no more workers than instances.
     const exp::ServiceResult r = exp::run_service(config);
     report.add_point("service",
                      benchutil::service_report_point(index++, config, r));
@@ -607,8 +607,9 @@ exp::Report run_service_figure(const Options& opt, std::size_t trials,
 
 /// The figures --shard/--merge can split and --procs can fork: exactly those
 /// whose trials run through exp::Sweep (fig3 drives exp::run_indexed
-/// directly; fig3-scale and service loop by hand with non-uniform trial
-/// counts).
+/// directly, service folds its streams in instance order on
+/// exp::run_indexed_workers, and fig3-scale loops by hand with non-uniform
+/// trial counts).
 bool shardable_figure(const std::string& figure) {
   return figure == "fig1a" || figure == "fig1b" || figure == "fig2" ||
          figure == "fault-matrix" || figure == "recovery-matrix" ||

@@ -345,10 +345,6 @@ json::Value point_json(const ReportPoint& rp) {
     load.set("wall_ms_p50", l.wall_ms_p50);
     load.set("wall_ms_p99", l.wall_ms_p99);
     load.set("wall_ms_p999", l.wall_ms_p999);
-    load.set("queue_depth_mean", l.queue_depth_mean);
-    load.set("queue_depth_max", std::uint64_t{l.queue_depth_max});
-    load.set("push_blocks", std::uint64_t{l.push_blocks});
-    load.set("pop_blocks", std::uint64_t{l.pop_blocks});
     out.set("load", std::move(load));
   }
 
@@ -463,10 +459,6 @@ ReportPoint point_from_json(const json::Value& v) {
     rp.load.wall_ms_p50 = load->at("wall_ms_p50").as_double();
     rp.load.wall_ms_p99 = load->at("wall_ms_p99").as_double();
     rp.load.wall_ms_p999 = load->at("wall_ms_p999").as_double();
-    rp.load.queue_depth_mean = load->at("queue_depth_mean").as_double();
-    rp.load.queue_depth_max = load->at("queue_depth_max").as_uint64();
-    rp.load.push_blocks = load->at("push_blocks").as_uint64();
-    rp.load.pop_blocks = load->at("pop_blocks").as_uint64();
   }
 
   const std::string stored = v.at("fingerprint").as_string();

@@ -74,10 +74,6 @@ struct PointLoad {
   double wall_ms_p50 = 0;        ///< per-instance wall latency quantiles.
   double wall_ms_p99 = 0;
   double wall_ms_p999 = 0;
-  double queue_depth_mean = 0;  ///< generate->execute queue occupancy.
-  std::uint64_t queue_depth_max = 0;
-  std::uint64_t push_blocks = 0;  ///< backpressure events (queue full).
-  std::uint64_t pop_blocks = 0;   ///< starvation events (queue empty).
 };
 
 /// One serialized grid point: axes + provenance + the full Aggregate, plus

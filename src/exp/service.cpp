@@ -1,15 +1,13 @@
 #include "exp/service.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <memory>
 
 #include "adversary/adversary.h"
 #include "exp/scenario.h"
+#include "exp/sweep.h"
 #include "support/siphash.h"
-#include "svc/pipeline.h"
 
 namespace fba::exp {
 
@@ -157,139 +155,62 @@ namespace {
 
 using clock = std::chrono::steady_clock;
 
-double ms_between(clock::time_point a, clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
+/// Instances per worker in one window. A window's end is a barrier: workers
+/// that finish early idle until its last instance lands. At 32 per worker
+/// that idle time is noise in bench_service's 4-worker throughput; 4 and 8
+/// per worker cost 16% and 8% (docs/perf.md "Service mode").
+constexpr std::size_t kWindowPerWorker = 32;
 
-/// Serial reference path: the same generate -> execute -> reduce order a
-/// pipeline's reducer reconstructs, inline on the calling thread.
-void run_serial(const ServicePlan& plan, const ServiceConfig& config,
-                ServiceResult& result) {
+/// What one worker keeps warm across the instances it runs.
+struct ServiceWorker {
   TrialArena arena;
   aer::AerConfig cfg;
+};
+
+/// One instance's result, held until its window is folded.
+struct InstanceSlot {
   TrialOutcome out;
-  for (std::uint64_t i = 0; i < config.instances; ++i) {
-    if (!config.warm) arena.clear();
-    const auto t0 = clock::now();
-    plan.run_instance(i, cfg, arena, out);
-    const auto t1 = clock::now();
-    result.stats.fold(out);
-    result.load.instance_wall_ms.add(ms_between(t0, t1));
-  }
-  result.timing = arena.timing;
-}
-
-/// Pipelined path: one generator, `workers` executors (one warm arena
-/// each), reduction on the calling thread. The free-slot queue doubles as
-/// flow control: at most `pool` instances are in flight, so the reorder
-/// window below is provably contiguous — an unreduced instance index always
-/// lies in [next, next + pool).
-void run_pipelined(const ServicePlan& plan, const ServiceConfig& config,
-                   ServiceResult& result) {
-  const std::size_t pool = config.resolved_pool();
-  const std::uint64_t total = config.instances;
-
-  struct Job {
-    std::uint64_t instance = 0;
-    std::size_t slot = 0;
-  };
-  struct Done {
-    std::uint64_t instance = 0;
-    std::size_t slot = 0;
-    double wall_ms = 0;
-  };
-
-  svc::BoundedQueue<std::size_t> free_slots(pool);
-  svc::BoundedQueue<Job> jobs(pool);
-  svc::BoundedQueue<Done> done(pool);
-  for (std::size_t s = 0; s < pool; ++s) free_slots.push(s);
-
-  std::vector<TrialOutcome> slots(pool);
-  std::vector<std::unique_ptr<TrialArena>> arenas;
-  arenas.reserve(config.workers);
-  for (std::size_t w = 0; w < config.workers; ++w) {
-    arenas.push_back(std::make_unique<TrialArena>());
-  }
-
-  svc::StagePool stages;
-  stages.set_on_error([&] {
-    free_slots.close();
-    jobs.close();
-    done.close();
-  });
-
-  stages.spawn(1, [&](std::size_t) {
-    for (std::uint64_t i = 0; i < total; ++i) {
-      std::size_t slot = 0;
-      if (!free_slots.pop(slot)) return;  // aborted by a failing stage.
-      if (!jobs.push(Job{i, slot})) return;
-    }
-    jobs.close();  // drain semantics deliver everything already queued.
-  });
-
-  std::atomic<std::size_t> live_executors{config.workers};
-  stages.spawn(config.workers, [&](std::size_t worker) {
-    TrialArena& arena = *arenas[worker];
-    aer::AerConfig cfg;
-    Job job;
-    while (jobs.pop(job)) {
-      if (!config.warm) arena.clear();
-      const auto t0 = clock::now();
-      plan.run_instance(job.instance, cfg, arena, slots[job.slot]);
-      const auto t1 = clock::now();
-      if (!done.push(Done{job.instance, job.slot, ms_between(t0, t1)})) break;
-    }
-    // Last executor out closes the done queue so the reducer terminates.
-    if (live_executors.fetch_sub(1) == 1) done.close();
-  });
-
-  // Reduce on this thread, strictly in instance order: out-of-order
-  // completions park in a pool-sized reorder window until their turn.
-  struct Pending {
-    std::size_t slot = 0;
-    double wall_ms = 0;
-    bool ready = false;
-  };
-  std::vector<Pending> window(pool);
-  std::uint64_t next = 0;
-  Done d;
-  while (done.pop(d)) {
-    window[d.instance % pool] = {d.slot, d.wall_ms, true};
-    while (window[next % pool].ready) {
-      Pending& cur = window[next % pool];
-      result.stats.fold(slots[cur.slot]);
-      result.load.instance_wall_ms.add(cur.wall_ms);
-      cur.ready = false;
-      free_slots.push(cur.slot);  // refused only after an abort; fine.
-      ++next;
-    }
-  }
-
-  stages.join();  // rethrows the first stage failure.
-  result.load.jobs = jobs.stats();
-  result.load.done = done.stats();
-  for (const auto& arena : arenas) result.timing.add(arena->timing);
-}
+  double wall_ms = 0;
+};
 
 }  // namespace
 
 ServiceResult run_service(const ServiceConfig& config) {
-  ServicePlan plan(config);
+  const ServicePlan plan(config);
+  const std::uint64_t total = config.instances;
+  // No more workers (and arenas) than there are instances to run.
+  const auto workers = static_cast<std::size_t>(std::clamp<std::uint64_t>(
+      config.workers, 1, std::max<std::uint64_t>(total, 1)));
+  std::vector<ServiceWorker> pool(workers);  // built in place, never moved.
+  std::vector<InstanceSlot> window(static_cast<std::size_t>(
+      std::min<std::uint64_t>(total, kWindowPerWorker * workers)));
+
   ServiceResult result;
   const auto wall0 = clock::now();
-  if (config.workers <= 1) {
-    run_serial(plan, config, result);
-  } else {
-    run_pipelined(plan, config, result);
+  for (std::uint64_t begin = 0; begin < total; begin += window.size()) {
+    const auto size = static_cast<std::size_t>(
+        std::min<std::uint64_t>(window.size(), total - begin));
+    run_indexed_workers(size, workers, [&](std::size_t w, std::size_t k) {
+      ServiceWorker& worker = pool[w];
+      if (!config.warm) worker.arena.clear();
+      const auto t0 = clock::now();
+      plan.run_instance(begin + k, worker.cfg, worker.arena, window[k].out);
+      window[k].wall_ms =
+          std::chrono::duration<double, std::milli>(clock::now() - t0).count();
+    });
+    for (std::size_t k = 0; k < size; ++k) {
+      result.stats.fold(window[k].out);
+      result.load.instance_wall_ms.add(window[k].wall_ms);
+    }
   }
-  const auto wall1 = clock::now();
   result.load.wall_seconds =
-      std::chrono::duration<double>(wall1 - wall0).count();
+      std::chrono::duration<double>(clock::now() - wall0).count();
   if (result.load.wall_seconds > 0) {
     result.load.instances_per_sec =
         static_cast<double>(result.stats.instances) /
         result.load.wall_seconds;
   }
+  for (const ServiceWorker& w : pool) result.timing.add(w.arena.timing);
   return result;
 }
 

@@ -1,16 +1,17 @@
-// Heavy-traffic service mode: repeated consensus as a streaming pipeline.
+// Heavy-traffic service mode: repeated consensus as a stream of instances.
 //
 // Everything else in exp/ is one-shot — build a world, decide once, tear it
 // down (Sweep amortizes across a *batch* with fan-out-and-join). A deployed
 // agreement service runs instead as an unbounded stream of instances, and
 // its figures of merit are sustained instances/sec and tail decision
-// latency. exp::Service models that: instances flow generate -> execute ->
-// reduce through a fixed pool of warm TrialArenas connected by bounded
-// queues (svc/queue.h), with cross-instance amortization as the perf core —
-// between instances only the instance key changes (seed, strings); sampler
-// slabs, engine queues and actor pools stay hot, so a warm instance
-// allocates nothing (BM_WarmInstanceAllocations, CI-gated) and steady-state
-// cost approaches pure protocol execution.
+// latency. exp::Service models that: instances run in fixed windows on
+// run_indexed_workers, each worker on its own warm TrialArena, and the
+// calling thread folds every window in instance order before the next one
+// starts. Cross-instance amortization is the perf core — between instances
+// only the instance key changes (seed, strings); sampler slabs, engine
+// queues and actor pools stay hot, so a warm instance allocates nothing
+// (BM_WarmInstanceAllocations, CI-gated) and steady-state cost approaches
+// pure protocol execution.
 //
 // Adversaries persist across instances (the service threat model): grudge-*
 // attacks pin ONE corrupt roster for the whole stream, and slow-burn-churn
@@ -18,12 +19,11 @@
 //
 // Determinism contract (same as Sweep's): the deterministic results —
 // counts, simulated-time latency histograms, traffic — depend only on
-// (config, base_seed, instances), never on worker count, pool size or arena
-// warmth. Per-instance seeds are siphash(base_seed, instance); the reducer
-// folds outcomes in instance order behind a reorder window; ServiceStats::
-// fingerprint() is pinned by tests/service_test.cpp. Wall-clock load
-// (instances/sec, wall-latency quantiles, queue depths) is kept strictly
-// apart in ServiceLoad and never fingerprinted.
+// (config, base_seed, instances), never on worker count or arena warmth.
+// Per-instance seeds are siphash(base_seed, instance); outcomes are folded
+// in instance order; ServiceStats::fingerprint() is pinned by
+// tests/service_test.cpp. Wall-clock load (instances/sec, wall-latency
+// quantiles) is kept strictly apart in ServiceLoad and never fingerprinted.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,6 @@
 #include "exp/aggregate.h"
 #include "exp/arena.h"
 #include "exp/stats.h"
-#include "svc/queue.h"
 
 namespace fba::exp {
 
@@ -45,18 +44,14 @@ struct ServiceConfig {
   std::string fault;            ///< fault preset; slow-burn-churn ramps.
   std::uint64_t base_seed = 20130722;
   std::uint64_t instances = 64;
-  /// Executor threads. 1 runs the whole pipeline inline (the serial
-  /// reference path); results are bit-identical at any value.
+  /// Worker threads, each with its own warm TrialArena; capped at the
+  /// instance count. 1 runs every instance inline on the calling thread;
+  /// results are bit-identical at any value.
   std::size_t workers = 1;
-  /// In-flight instance bound == outcome-slot count (the generator blocks
-  /// once `pool` instances are unreduced). 0 resolves to workers + 2.
-  std::size_t pool = 0;
   /// false = cold A/B baseline: every instance rebuilds its world from
   /// nothing (TrialArena::clear between instances). Same results, no
   /// amortization — what bench_service measures the warm path against.
   bool warm = true;
-
-  std::size_t resolved_pool() const { return pool > 0 ? pool : workers + 2; }
 };
 
 /// Derived per-instance seed: siphash(base_seed, instance), 0 remapped to 1
@@ -103,7 +98,7 @@ class ServicePlan {
 /// Deterministic stream results: counts plus constant-memory latency /
 /// traffic histograms (StreamingStats — no per-instance sample storage, so
 /// the stream length is unbounded). fold() MUST be called in instance
-/// order; the pipeline's reducer guarantees it.
+/// order; run_service guarantees it.
 struct ServiceStats {
   std::uint64_t instances = 0;
   std::uint64_t agreements = 0;
@@ -151,8 +146,6 @@ struct ServiceLoad {
   double wall_seconds = 0;
   double instances_per_sec = 0;
   StreamingStats instance_wall_ms;  ///< per-instance wall latency (ms).
-  svc::QueueStats jobs;  ///< generate -> execute queue (depth/backpressure).
-  svc::QueueStats done;  ///< execute -> reduce queue.
 };
 
 struct ServiceResult {
@@ -161,10 +154,12 @@ struct ServiceResult {
   TrialTiming timing;  ///< summed across workers (setup vs run split).
 };
 
-/// Runs the stream: inline when config.workers <= 1, otherwise a generator
-/// thread, `workers` executors (one warm TrialArena each) and a reducer
-/// connected by bounded queues sized config.resolved_pool(). Bit-identical
-/// ServiceStats at any worker/pool/warmth setting.
+/// Runs the stream in windows of 32 instances per worker on
+/// run_indexed_workers (inline when one worker is used), one warm
+/// TrialArena per worker, folding each window in instance order before the
+/// next starts — so memory stays flat at any stream length. The first
+/// instance failure is rethrown once its window has joined. Bit-identical
+/// ServiceStats at any worker count or warmth.
 ServiceResult run_service(const ServiceConfig& config);
 
 }  // namespace fba::exp

@@ -84,23 +84,6 @@ void StreamingStats::add(double v) {
   sum_sq_ += v * v;
 }
 
-void StreamingStats::merge(const StreamingStats& other) {
-  if (other.count_ == 0) return;
-  for (std::size_t b = 0; b < kBuckets; ++b) buckets_[b] += other.buckets_[b];
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    if (other.min_ < min_) min_ = other.min_;
-    if (other.max_ > max_) max_ = other.max_;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
-}
-
-void StreamingStats::reset() { *this = StreamingStats{}; }
-
 double StreamingStats::mean() const {
   return count_ ? sum_ / static_cast<double>(count_) : 0;
 }

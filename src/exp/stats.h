@@ -50,7 +50,7 @@ SummaryStats summarize_sample(std::vector<double> values);
 /// memory: a fixed-bucket log-scale histogram (for p50/p90/p99/p99.9) plus
 /// exact running moments and extrema (for mean/stddev/min/max/ci95).
 ///
-/// The service pipeline (exp/service.h) folds millions of per-instance and
+/// Service mode (exp/service.h) folds millions of per-instance and
 /// per-node latencies through this without storing samples. Bucketing uses
 /// std::frexp — exact floating-point arithmetic, so bucket assignment is
 /// bit-identical across platforms (std::log-based bucketing would tie the
@@ -71,10 +71,6 @@ class StreamingStats {
       static_cast<std::size_t>(kMaxExp - kMinExp) * kSubBuckets + 2;
 
   void add(double v);
-  /// Folds `other` into this (bucket counts summed, moments added in this
-  /// fixed order). Used by the service reducer's per-chunk fold.
-  void merge(const StreamingStats& other);
-  void reset();
 
   std::uint64_t count() const { return count_; }
   double total() const { return sum_; }

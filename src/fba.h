@@ -61,5 +61,3 @@
 #include "support/siphash.h"
 #include "support/table.h"
 #include "support/types.h"
-#include "svc/pipeline.h"
-#include "svc/queue.h"

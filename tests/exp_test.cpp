@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "fba.h"
@@ -119,6 +121,38 @@ TEST(SweepTest, RunIndexedCoversEveryIndexOnce) {
     exp::run_indexed(hits.size(), threads,
                      [&hits](std::size_t i) { ++hits[i]; });
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+// Sweep's and the service's per-worker arenas rely on two facts: every
+// worker id is below the clamped thread count, and one id never runs two
+// tasks at once. Task 0 holds its id until every other task has finished,
+// so a scheduler that hands out a busy id is caught.
+TEST(SweepTest, RunIndexedWorkersKeepsEachIdToOneTaskAtATime) {
+  struct Case {
+    std::size_t count;
+    std::size_t threads;
+  };
+  for (const Case c : {Case{257, 4}, Case{3, 8}, Case{40, 1}}) {
+    const std::size_t clamped = std::min(c.threads, c.count);
+    std::vector<std::atomic<bool>> busy(clamped);
+    std::atomic<std::size_t> finished{0};
+    std::atomic<std::size_t> overlaps{0};
+    exp::run_indexed_workers(
+        c.count, c.threads, [&](std::size_t worker, std::size_t i) {
+          ASSERT_LT(worker, clamped) << "threads=" << c.threads;
+          if (busy[worker].exchange(true)) ++overlaps;
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (i == 0 && clamped > 1 && finished.load() + 1 < c.count &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          busy[worker].store(false);
+          ++finished;
+        });
+    EXPECT_EQ(finished.load(), c.count);
+    EXPECT_EQ(overlaps.load(), 0u) << "threads=" << c.threads;
   }
 }
 

@@ -230,7 +230,7 @@ TEST(PropertyTest, RecoveryNeverHurtsAgreementAndKeepsSafety) {
 // boundaries and ramps as the stream ages — safety must hold for EVERY
 // instance (wrong_decisions stays 0 over the whole stream; liveness may
 // degrade, agreement_rate may drop), and the deterministic results must be
-// independent of how the pipeline is parallelized.
+// independent of how the stream is parallelized.
 TEST(PropertyTest, ServiceStreamsPreserveSafetyUnderPersistentAdversaries) {
   const std::uint64_t base_seed = property_seed();
   Rng axis_rng(base_seed ^ 0x73767063ull);  // "svpc": distinct axis draws
@@ -276,12 +276,12 @@ TEST(PropertyTest, ServiceStreamsPreserveSafetyUnderPersistentAdversaries) {
       EXPECT_EQ(stats.stalled_nodes, 0u);
     }
 
-    // --- parallelization independence: a pipelined run with cold arenas
+    // --- parallelization independence: a two-worker run, warm or cold,
     // must reproduce the serial warm run bit for bit.
-    exp::ServiceConfig pipelined = config;
-    pipelined.workers = 2;
-    pipelined.warm = (s % 2 == 0);
-    EXPECT_EQ(exp::run_service(pipelined).stats.fingerprint(),
+    exp::ServiceConfig parallel = config;
+    parallel.workers = 2;
+    parallel.warm = (s % 2 == 0);
+    EXPECT_EQ(exp::run_service(parallel).stats.fingerprint(),
               stats.fingerprint());
   }
 }
