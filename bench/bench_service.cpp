@@ -17,6 +17,7 @@
 // Decision latencies are simulated protocol time (deterministic, in the
 // fingerprint); instances/sec and wall-ms quantiles are wall-clock load
 // (reported, never fingerprinted).
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -79,7 +80,8 @@ int main(int argc, char** argv) {
   base_config.attack = opt.attack;
   base_config.fault = opt.fault == "none" ? "" : opt.fault;
   base_config.instances = instances;
-  base_config.workers = opt.threads;
+  // run_service starts no more workers than a lap has instances.
+  base_config.workers = std::min<std::size_t>(opt.threads, instances);
 
   exp::Report report =
       make_report("bench_service", "service",
@@ -91,7 +93,7 @@ int main(int argc, char** argv) {
 
   std::printf("warm/cold A/B: n=%zu d=%zu, %llu instances, %zu worker(s)\n\n",
               base_config.base.n, base_config.base.resolved_d(),
-              static_cast<unsigned long long>(instances), opt.threads);
+              static_cast<unsigned long long>(instances), base_config.workers);
   Table table({"mode", "attack", "fault", "inst", "inst/s", "agree", "wrong",
                "dec p50", "dec p99", "dec p999"});
   Stopwatch watch;
@@ -180,7 +182,7 @@ int main(int argc, char** argv) {
       "churn ramps its churn fraction across instances. Safety (wrong = 0)"
       " must hold throughout.\n");
   std::printf("[service done in %.1fs on %zu thread(s)]\n", watch.seconds(),
-              opt.threads);
+              base_config.workers);
   write_json_if_requested(report, opt.json);
   return 0;
 }

@@ -38,6 +38,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -233,17 +234,13 @@ exp::Report run_fig1b(const Options& opt, std::size_t trials, Pool& pool) {
         ba::Reduction::kFlood}) {
     exp::Sweep sweep(base, grid, trials);
     sweep.set_trial(
-        [reduction](const aer::AerConfig& cfg, const exp::GridPoint& point) {
+        [reduction](const aer::AerConfig& cfg, const exp::GridPoint&) {
           ba::BaConfig run;
           run.n = cfg.n;
           run.seed = cfg.seed;
           run.corrupt_fraction = cfg.corrupt_fraction;
-          if (!point.fault.empty()) {
-            run.fault_plan = exp::fault_plan_factory(point.fault);
-          }
-          if (!point.recovery.empty()) {
-            run.recovery_plan = exp::recovery_plan_factory(point.recovery);
-          }
+          run.fault_plan = cfg.fault_plan;
+          run.recovery_plan = cfg.recovery_plan;
           return exp::outcome_of(ba::run_ba(run, reduction));
         });
     report.add_points(
@@ -355,7 +352,7 @@ std::size_t scale_trials(std::size_t trials, std::size_t n) {
 /// trial per point, per-trial sweep progress is too coarse, so the SoA
 /// runner reports (round just finished, events still pending) after every
 /// simulated round. Gated and throttled exactly like exp::stderr_progress.
-exp::ScaleTrialOptions::RoundProgress scale_round_progress(
+std::function<void(Round, std::size_t)> scale_round_progress(
     const std::string& label) {
   const bool tty = isatty(fileno(stderr)) != 0;
   const char* env = std::getenv("FBA_PROGRESS");
@@ -425,7 +422,7 @@ exp::Report run_fig3_scale(const Options& opt, std::size_t trials,
   for (const exp::GridPoint& point : points) {
     const std::size_t point_trials = scale_trials(trials, point.n);
     std::vector<exp::TrialOutcome> outcomes(point_trials);
-    exp::ScaleTrialOptions trial_opts;
+    aer::SoaRunOptions trial_opts;
     trial_opts.round_progress =
         scale_round_progress("fig3-scale " + point.label());
     for (std::size_t t = 0; t < point_trials; ++t) {

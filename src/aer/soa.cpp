@@ -1,6 +1,7 @@
 #include "aer/soa.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "aer/messages.h"
 #include "aer/runner.h"
@@ -409,95 +410,30 @@ void charge_trial_mem(support::MemBudget& mem, const AerWorld& world,
 AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
                             const SoaRunOptions& opts,
                             const StrategyFactory& make_strategy) {
-  // Mirrors run_aer_world_arena step for step (order included — the
-  // SoA-vs-pointer fingerprint equality in tests/scale_test.cpp pins it).
   const AerConfig& config = world.shared->config;
-  world.decisions.reset(config.n);
-
-  AerReport report;
-  report.n = config.n;
-  report.t = world.view.corrupt.size();
-  report.d = config.resolved_d();
-  report.model = config.model;
-
-  std::unique_ptr<adv::Strategy> strategy;
-  if (make_strategy) strategy = make_strategy(world.view);
-
-  std::size_t decided = 0;
-  std::size_t target = world.correct.size();
-  auto on_decide = [&world, &decided](NodeId node, StringId value,
-                                      double time) {
-    if (!world.decisions.has_decided(node)) ++decided;
-    world.decisions.record(node, value, time);
-  };
-  auto done = [&] { return decided >= target; };
-  auto on_corrupt = [&world, &target](NodeId node, double /*time*/) {
-    if (note_runtime_corruption(world, node)) --target;
-  };
-
-  auto wire_nodes = [&](auto& engine) {
-    engine.set_wire(&world.shared->wire());
-    engine.set_fault_plan(&config.fault_plan);
-    engine.set_recovery_plan(&config.recovery_plan);
-    engine.set_corrupt(world.view.corrupt);
+  auto attach = [&](auto& engine, const adv::Strategy* strategy) {
     arena.state.reset(world.shared.get(), world.view.initial, engine);
-    engine.set_strategy(strategy.get());
-    engine.set_decision_callback(on_decide);
-    engine.set_corruption_budget(config.adaptive_budget);
-    engine.set_corruption_callback(on_corrupt);
-  };
-  auto harvest_adaptive = [&report](auto& engine) {
-    report.runtime_corruptions = engine.corruptions_spent();
-    report.first_corruption_time = engine.first_corruption_time();
-    report.last_corruption_time = engine.last_corruption_time();
-  };
-
-  support::MemBudget mem;
-  if (config.model == Model::kAsync) {
-    sim::AsyncConfig ec;
-    ec.n = config.n;
-    ec.seed = config.seed;
-    ec.max_time = config.max_time;
-    if (arena.async.has_value()) arena.async->reset(ec);
-    else arena.async.emplace(ec);
-    sim::AsyncEngine& engine = *arena.async;
-    wire_nodes(engine);
-    const auto result = engine.run(done);
-    report.engine_time = result.time;
-    report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
-    fill_aer_specific_soa(report, world, arena.state);
-    charge_trial_mem(mem, world, arena.state, engine.queue_peak_bytes());
-  } else {
-    sim::SyncConfig ec;
-    ec.n = config.n;
-    ec.seed = config.seed;
-    ec.rushing_adversary = config.model == Model::kSyncRushing;
-    ec.max_rounds = config.max_rounds;
-    if (arena.sync.has_value()) arena.sync->reset(ec);
-    else arena.sync.emplace(ec);
-    sim::SyncEngine& engine = *arena.sync;
-    wire_nodes(engine);
-    // Bursts skip the per-send observe/fault/recovery taps, so they are only
-    // legal when all of them are no-ops.
-    if (opts.bursts && strategy == nullptr && config.fault_plan.empty() &&
-        config.recovery_plan.empty()) {
-      engine.set_burst_source(&arena.state);
-      arena.state.enable_bursts(&engine);
+    if constexpr (std::is_same_v<std::decay_t<decltype(engine)>,
+                                 sim::SyncEngine>) {
+      // Bursts skip the per-send observe/fault/recovery taps, so they are
+      // only legal when all of them are no-ops.
+      if (opts.bursts && strategy == nullptr && config.fault_plan.empty() &&
+          config.recovery_plan.empty()) {
+        engine.set_burst_source(&arena.state);
+        arena.state.enable_bursts(&engine);
+      }
+      if (opts.round_progress) engine.set_round_progress(opts.round_progress);
     }
-    if (opts.round_progress) engine.set_round_progress(opts.round_progress);
-    const auto result = engine.run(done);
-    report.engine_time = static_cast<double>(result.rounds);
-    report.engine_completed = result.completed;
-    harvest_adaptive(engine);
-    fill_outcome_and_traffic(report, world, engine.metrics());
+  };
+  auto harvest = [&](AerReport& report, const auto& engine) {
     fill_aer_specific_soa(report, world, arena.state);
+    support::MemBudget mem;
     charge_trial_mem(mem, world, arena.state, engine.queue_peak_bytes());
-  }
-  report.mem_bytes = mem.total_bytes();
-  report.mem_bytes_per_node = mem.bytes_per_node(config.n);
-  return report;
+    report.mem_bytes = mem.total_bytes();
+    report.mem_bytes_per_node = mem.bytes_per_node(config.n);
+  };
+  return run_on_engines(world, arena.sync, arena.async, make_strategy, attach,
+                        harvest);
 }
 
 }  // namespace fba::aer

@@ -173,9 +173,12 @@ struct SoaRunOptions {
   std::function<void(Round, std::size_t)> round_progress;
 };
 
-/// Runs AER on a prebuilt world through the SoA state. Produces the same
-/// AerReport as run_aer_world / run_aer_world_arena — bit-identical metrics
-/// and decisions — plus the memory section (mem_bytes, mem_bytes_per_node),
+/// Runs AER on a prebuilt world through the SoA state, on the engines of
+/// `arena`, by way of run_on_engines (aer/runner.h): the one SoA state is
+/// every correct node's actor, and on the sync engines `opts` adds the burst
+/// gate and the round progress. Produces the same AerReport as
+/// run_aer_world / run_aer_world_arena — bit-identical metrics and
+/// decisions — plus the memory section (mem_bytes, mem_bytes_per_node),
 /// which only this runner fills.
 AerReport run_aer_world_soa(AerWorld& world, SoaArena& arena,
                             const SoaRunOptions& opts = {},

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "exp/scenario.h"
+
 namespace fba::exp {
 
 namespace {
@@ -25,6 +27,8 @@ aer::AerConfig GridPoint::apply(aer::AerConfig base) const {
   base.n = n;
   base.model = model;
   base.corrupt_fraction = corrupt_fraction;
+  if (!fault.empty()) base.fault_plan = fault_plan_factory(fault);
+  if (!recovery.empty()) base.recovery_plan = recovery_plan_factory(recovery);
   if (budget >= 0) base.adaptive_budget = static_cast<std::size_t>(budget);
   if (adaptive_from >= 0) base.adaptive_from = adaptive_from;
   return base;

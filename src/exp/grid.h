@@ -53,13 +53,12 @@ struct GridPoint {
   aer::Model model = aer::Model::kSyncRushing;
   double corrupt_fraction = 0;
   std::string strategy = "none";
-  /// Fault-preset name. Empty means "keep the base config's fault plan";
-  /// the name is resolved onto the trial config by the scenario trial
-  /// runners (exp::fault_plan_factory), keeping grid.cpp registry-free.
+  /// Fault-preset name, resolved by apply() (exp::fault_plan_factory).
+  /// Empty means "keep the base config's fault plan".
   std::string fault;
-  /// Recovery-preset name. Empty means "keep the base config's recovery
-  /// plan" (and keeps the label unchanged); resolved by the scenario trial
-  /// runners via exp::recovery_plan_factory, like `fault`.
+  /// Recovery-preset name, resolved by apply()
+  /// (exp::recovery_plan_factory). Empty means "keep the base config's
+  /// recovery plan" (and keeps the label unchanged).
   std::string recovery;
   /// Runtime corruption budget (adaptive-* strategies). -1 means "keep the
   /// base config's adaptive_budget" — and keeps the label unchanged, so
@@ -68,9 +67,10 @@ struct GridPoint {
   /// Earliest adaptive spend time; -1 keeps the base config's value.
   double adaptive_from = -1;
 
-  /// The base config with this point's axes applied (the fault axis is a
-  /// name; the trial runners resolve it — see `fault`). The seed is left
-  /// untouched: the sweep assigns per-trial seeds itself.
+  /// The base config with this point's axes applied, the fault and
+  /// recovery preset names resolved into plans. Every trial runner takes
+  /// its config from here. The seed is left untouched: the sweep assigns
+  /// per-trial seeds itself.
   aer::AerConfig apply(aer::AerConfig base) const;
 
   /// "n=256 model=async corrupt=0.08 attack=poll-stuff fault=lossy-1pct

@@ -367,18 +367,11 @@ namespace {
 template <typename RunWorld>
 TrialOutcome world_trial(const aer::AerConfig& config, const GridPoint& point,
                          RunWorld&& run_world) {
-  aer::AerConfig cfg = config;
-  // The grid's fault/recovery axes carry preset names; an empty name keeps
-  // the base config's (possibly hand-built) plan.
-  if (!point.fault.empty()) cfg.fault_plan = fault_plan_factory(point.fault);
-  if (!point.recovery.empty()) {
-    cfg.recovery_plan = recovery_plan_factory(point.recovery);
-  }
-  aer::AerWorld world = aer::build_aer_world(cfg);
+  aer::AerWorld world = aer::build_aer_world(config);
   const aer::AerReport report =
       run_world(world, attack_factory(point.strategy));
   TrialOutcome o = outcome_of(report, world);
-  o.seed = cfg.seed;
+  o.seed = config.seed;
   return o;
 }
 
@@ -395,18 +388,13 @@ TrialOutcome run_aer_trial(const aer::AerConfig& config,
 void run_aer_trial(const aer::AerConfig& config, const GridPoint& point,
                    TrialArena& arena, TrialOutcome& out) {
   using clock = std::chrono::steady_clock;
-  aer::AerConfig cfg = config;
-  if (!point.fault.empty()) cfg.fault_plan = fault_plan_factory(point.fault);
-  if (!point.recovery.empty()) {
-    cfg.recovery_plan = recovery_plan_factory(point.recovery);
-  }
   const auto t0 = clock::now();
-  aer::build_aer_world_into(arena.world, cfg);
+  aer::build_aer_world_into(arena.world, config);
   const auto t1 = clock::now();
   const aer::AerReport report = aer::run_aer_world_arena(
       arena.world, arena.run, attack_factory(point.strategy));
   outcome_into(report, arena.world, out);
-  out.seed = cfg.seed;
+  out.seed = config.seed;
   const auto t2 = clock::now();
   arena.timing.setup_seconds += std::chrono::duration<double>(t1 - t0).count();
   arena.timing.run_seconds += std::chrono::duration<double>(t2 - t1).count();
@@ -415,23 +403,15 @@ void run_aer_trial(const aer::AerConfig& config, const GridPoint& point,
 
 void run_aer_scale_trial(const aer::AerConfig& config, const GridPoint& point,
                          ScaleArena& arena, TrialOutcome& out,
-                         const ScaleTrialOptions& options) {
+                         const aer::SoaRunOptions& options) {
   using clock = std::chrono::steady_clock;
-  aer::AerConfig cfg = config;
-  if (!point.fault.empty()) cfg.fault_plan = fault_plan_factory(point.fault);
-  if (!point.recovery.empty()) {
-    cfg.recovery_plan = recovery_plan_factory(point.recovery);
-  }
   const auto t0 = clock::now();
-  aer::build_aer_world_into(arena.world, cfg);
+  aer::build_aer_world_into(arena.world, config);
   const auto t1 = clock::now();
-  aer::SoaRunOptions run_opts;
-  run_opts.bursts = options.bursts;
-  run_opts.round_progress = options.round_progress;
   const aer::AerReport report = aer::run_aer_world_soa(
-      arena.world, arena.run, run_opts, attack_factory(point.strategy));
+      arena.world, arena.run, options, attack_factory(point.strategy));
   outcome_into(report, arena.world, out);
-  out.seed = cfg.seed;
+  out.seed = config.seed;
   const auto t2 = clock::now();
   arena.timing.setup_seconds += std::chrono::duration<double>(t1 - t0).count();
   arena.timing.run_seconds += std::chrono::duration<double>(t2 - t1).count();

@@ -4,6 +4,8 @@
 
 #include "adversary/strategies.h"
 #include "ba/ba.h"
+#include "exp/aggregate.h"
+#include "exp/shard.h"
 
 namespace fba::ba {
 namespace {
@@ -73,12 +75,19 @@ TEST(BaTest, SurvivesEquivocationPlusReductionAttack) {
   EXPECT_TRUE(r.agreement);
 }
 
+// Back-to-back runs of one config repeat exactly, for every reduction: the
+// outcome fingerprint hashes every protocol-visible field of the trial.
 TEST(BaTest, DeterministicAcrossRuns) {
-  const BaReport a = run_ba(config_for(128, 7));
-  const BaReport b = run_ba(config_for(128, 7));
-  EXPECT_EQ(a.total_bits, b.total_bits);
-  EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_DOUBLE_EQ(a.total_time, b.total_time);
+  for (const Reduction reduction :
+       {Reduction::kAer, Reduction::kSqrtSample, Reduction::kFlood}) {
+    const auto fingerprint = [reduction] {
+      return exp::outcome_fingerprint(
+          exp::outcome_of(run_ba(config_for(128, 7), reduction)));
+    };
+    const std::uint64_t first = fingerprint();
+    EXPECT_EQ(fingerprint(), first) << reduction_name(reduction);
+    EXPECT_EQ(fingerprint(), first) << reduction_name(reduction);
+  }
 }
 
 TEST(BaTest, UnknowledgeableMinorityFromAeIsAbsorbed) {

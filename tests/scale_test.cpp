@@ -42,7 +42,7 @@ std::vector<exp::TrialOutcome> pointer_outcomes(const exp::GridPoint& point,
 
 std::vector<exp::TrialOutcome> soa_outcomes(
     const exp::GridPoint& point, std::size_t trials, exp::ScaleArena& arena,
-    const exp::ScaleTrialOptions& options = {}) {
+    const aer::SoaRunOptions& options = {}) {
   std::vector<exp::TrialOutcome> outcomes(trials);
   for (std::size_t t = 0; t < trials; ++t) {
     aer::AerConfig cfg = point.apply(base_config());
@@ -54,24 +54,32 @@ std::vector<exp::TrialOutcome> soa_outcomes(
 }
 
 exp::GridPoint grid_point(aer::Model model, const std::string& attack,
-                          const std::string& fault, std::size_t index) {
+                          const std::string& fault, std::size_t index,
+                          const std::string& recovery = "") {
   exp::GridPoint point;
   point.index = index;
   point.n = base_config().n;
   point.model = model;
   point.strategy = attack;
   point.fault = fault;
+  point.recovery = recovery;
   return point;
 }
 
-// The tentpole contract: for every timing model x attack x fault cell, the
-// SoA path's Aggregate is bit-identical to the pointer path's (fingerprint
-// hashes every protocol-visible field; the memory account sits outside it
-// by design). Attacks and faults also force the burst gate off, so this
-// covers both the per-send and the burst spelling of the Fw1 fan-out.
+// The tentpole contract: for every timing model x attack x fault x recovery
+// cell, the SoA path's Aggregate is bit-identical to the pointer path's
+// (fingerprint hashes every protocol-visible field; the memory account sits
+// outside it by design). Attacks, faults and recovery each force the burst
+// gate off, so this covers both the per-send and the burst spelling of the
+// Fw1 fan-out.
 TEST(ScaleEquivalenceTest, SoaMatchesPointerPathAcrossModelsAttacksFaults) {
   const std::vector<std::string> attacks = {"none", "stuff", "junk"};
-  const std::vector<std::string> faults = {"", "lossy-5pct"};
+  struct Channel {
+    std::string fault;
+    std::string recovery;
+  };
+  const std::vector<Channel> channels = {
+      {"", ""}, {"lossy-5pct", ""}, {"", "arq-fast"}};
   const std::vector<aer::Model> models = {aer::Model::kSyncNonRushing,
                                           aer::Model::kSyncRushing,
                                           aer::Model::kAsync};
@@ -79,15 +87,18 @@ TEST(ScaleEquivalenceTest, SoaMatchesPointerPathAcrossModelsAttacksFaults) {
   std::size_t index = 0;
   for (const aer::Model model : models) {
     for (const std::string& attack : attacks) {
-      for (const std::string& fault : faults) {
-        const exp::GridPoint point = grid_point(model, attack, fault, index++);
+      for (const Channel& channel : channels) {
+        const exp::GridPoint point = grid_point(
+            model, attack, channel.fault, index++, channel.recovery);
         const exp::Aggregate pointer =
             exp::aggregate_outcomes(pointer_outcomes(point, 2));
         const exp::Aggregate soa =
             exp::aggregate_outcomes(soa_outcomes(point, 2, arena));
         EXPECT_EQ(pointer.fingerprint(), soa.fingerprint())
             << "model=" << aer::model_name(model) << " attack=" << attack
-            << " fault=" << (fault.empty() ? "none" : fault);
+            << " fault=" << (channel.fault.empty() ? "none" : channel.fault)
+            << " recovery="
+            << (channel.recovery.empty() ? "off" : channel.recovery);
         // The scale path's one addition: the deterministic memory account.
         EXPECT_GT(soa.mem_bytes_per_node.mean, 0.0);
         EXPECT_EQ(pointer.mem_bytes_per_node.mean, 0.0);
@@ -142,7 +153,7 @@ TEST(ScaleEquivalenceTest, BurstOnAndOffAreBitIdentical) {
        {aer::Model::kSyncNonRushing, aer::Model::kSyncRushing}) {
     const exp::GridPoint point = grid_point(model, "none", "", 0);
     exp::ScaleArena on_arena, off_arena;
-    exp::ScaleTrialOptions on, off;
+    aer::SoaRunOptions on, off;
     on.bursts = true;
     off.bursts = false;
     const exp::Aggregate with_bursts =
