@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   exp::Sweep sweep(base, grid, trials);
   sweep.set_threads(threads).set_procs(opt.procs);
   sweep.set_arena_trial(run_push_trial);
-  sweep.set_progress(progress_printer("push-phase"));
+  sweep.set_progress(exp::stderr_progress("push-phase"));
 
   exp::Report report =
       make_report("bench_push_phase", "push-phase",

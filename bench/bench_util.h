@@ -33,21 +33,6 @@ namespace fba::benchutil {
 
 enum class Scale { kQuick, kDefault, kLarge };
 
-inline Scale parse_scale(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) return Scale::kQuick;
-    if (std::strcmp(argv[i], "--large") == 0) return Scale::kLarge;
-  }
-  return Scale::kDefault;
-}
-
-inline bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
 /// The program name for one-line errors: argv[0] without its directory.
 inline const char* binary_name(char** argv) {
   const char* slash = std::strrchr(argv[0], '/');
@@ -113,12 +98,6 @@ inline std::size_t flag_value(int argc, char** argv, const char* name,
   return parsed;
 }
 
-/// The `--fault=<preset>` axis shared with fba_sim and exp::Grid
-/// (exp::known_faults()); "none" keeps the paper's reliable channels.
-inline std::string fault_for(int argc, char** argv) {
-  return string_flag(argc, argv, "--fault", "none");
-}
-
 /// Strict `--recovery=<preset>` validation shared by fba_sim, fba_repro and
 /// the benches (the same treatment --corrupt=/--know= got): an unknown or
 /// malformed name gets recovery_plan_factory's one-line ConfigError —
@@ -148,10 +127,6 @@ inline std::size_t positive_flag(const char* binary, const char* name,
     std::exit(2);
   }
   return v;
-}
-
-inline std::string ratio(std::size_t num, std::size_t den) {
-  return std::to_string(num) + "/" + std::to_string(den);
 }
 
 /// Network sizes for full-protocol sweeps (pull phase included).
@@ -197,26 +172,6 @@ inline void print_banner(const char* artifact, const char* description) {
   std::printf("=== %s ===\n%s\n\n", artifact, description);
 }
 
-/// Handles `--help`: prints the one generated usage block (bench-specific
-/// lines + the shared scenario vocabulary from exp::scenario_usage()) and
-/// returns true, in which case main should exit 0. `extra` lines (may be
-/// nullptr) document flags specific to this binary; `sections` restricts
-/// the shared block to the flags this binary actually parses (attacks and
-/// faults default to off — most benches pin their own adversary axes).
-inline bool handle_help(int argc, char** argv, const char* binary,
-                        const char* description, const char* extra,
-                        const exp::UsageSections& sections = {}) {
-  if (!has_flag(argc, argv, "--help") && !has_flag(argc, argv, "-h")) {
-    return false;
-  }
-  std::printf("%s — %s\n\nusage: %s [--quick|--large] [flags]\n", binary,
-              description, binary);
-  std::printf("  --quick / --large  shrink / extend the sweep sizes\n");
-  if (extra != nullptr) std::printf("%s", extra);
-  std::printf("%s", exp::scenario_usage(sections).c_str());
-  return true;
-}
-
 /// Everything parse_common_flags needs to validate a command line and
 /// print the one generated usage block — --help and unknown-flag errors
 /// share it, so the error path always shows the flags that *would* have
@@ -227,10 +182,9 @@ struct CommonSpec {
   /// Preformatted usage lines for binary-specific flags (nullptr for
   /// none); list each such flag in extra_flags too or it is rejected.
   const char* extra_usage = nullptr;
-  /// Binary-specific flags to accept: names ending in '=' take a value
-  /// (prefix match, e.g. "--n="), the rest are booleans (exact match).
-  /// parse_common_flags only accepts them — the binary still reads their
-  /// values with string_flag/flag_value/has_flag.
+  /// Binary-specific value flags to accept, each spelled with its '='
+  /// (prefix match, e.g. "--n="). parse_common_flags only accepts them —
+  /// the binary still reads their values with string_flag/flag_value.
   std::vector<const char*> extra_flags{};
   /// Shared-vocabulary sections this binary supports. Doubles as the
   /// accept-list: --attack / --fault / --trials / --threads / --json are
@@ -354,20 +308,13 @@ inline CommonOptions parse_common_flags(int argc, char** argv,
       opt.json = value;
       continue;
     }
-    bool matched = false;
-    for (const char* extra : spec.extra_flags) {
-      const std::size_t len = std::strlen(extra);
-      if (len > 0 && extra[len - 1] == '=') {
-        if (std::strncmp(arg, extra, len) == 0) {
-          matched = true;
-          break;
-        }
-      } else if (std::strcmp(arg, extra) == 0) {
-        matched = true;
-        break;
-      }
+    const auto names_arg = [arg](const char* extra) {
+      return std::strncmp(arg, extra, std::strlen(extra)) == 0;
+    };
+    if (std::any_of(spec.extra_flags.begin(), spec.extra_flags.end(),
+                    names_arg)) {
+      continue;
     }
-    if (matched) continue;
     std::fprintf(stderr, "%s: unknown flag \"%s\"\n\n", spec.binary, arg);
     print_common_usage(spec, stderr);
     std::exit(2);
@@ -430,11 +377,6 @@ inline void add_split_series(exp::Report& report, const aer::AerConfig& base,
                                       exp::point_provenance(base, r.point),
                                       r.aggregate});
   }
-}
-
-/// Live trials-completed / ETA line for long sweeps (exp::stderr_progress).
-inline exp::Sweep::Progress progress_printer(const char* label) {
-  return exp::stderr_progress(label);
 }
 
 /// Bridges one service run into the report machinery (bench_service and

@@ -24,10 +24,22 @@
 //   fault-matrix — beyond-the-model degradation: decided fraction per
 //                  fault preset for both engines at n=128 (composable with
 //                  --attack).
+//   recovery-matrix — the price of restoring reliable channels: agreement
+//                  and retransmit bits per loss preset x ack/retransmit
+//                  preset, both engines.
 //   adaptive     — resilience boundary vs an adaptive adversary: agreement
 //                  rate as the runtime corruption budget grows, for every
 //                  adaptive-* attack under both engines (composable with
 //                  --fault; --attack pins a single strategy).
+//   resilience   — agreement rate vs static corrupt fraction toward
+//                  t < (1/3 - eps) n at n=128, d=24, honest and under the
+//                  wrong-answer attack (Lemma 7's decision-forcing
+//                  adversary; the report counts its wrong decisions).
+//   pull-latency — Lemmas 6/8: mean decision time vs n for the three
+//                  timing models, honest and under the overload chain, at
+//                  answer budget 16 (Algorithm 3's deferral keeps it live).
+//   service      — streaming repeated consensus: p99 decision latency of
+//                  four persistent-adversary streams.
 //
 // Every figure writes BENCH_<figure>.{json,csv,md,gp} under --out (JSON/CSV
 // per docs/output-schema.md; .md embeds an ASCII rendering, .gp is a
@@ -73,7 +85,8 @@ struct Options {
 
 constexpr const char* kUsageExtra =
     "  --figure=NAME      fig1a | fig1b | fig2 | fig3 | fig3-scale |\n"
-    "                     fault-matrix | recovery-matrix | adaptive | service\n"
+    "                     fault-matrix | recovery-matrix | adaptive |\n"
+    "                     resilience | pull-latency | service\n"
     "  --out=DIR          output directory (default results/); writes\n"
     "                     BENCH_<figure>.{json,csv,md,gp}\n"
     "  --baseline=FILE    diff this run against a committed fba.report JSON;\n"
@@ -90,9 +103,10 @@ constexpr const char* kUsageExtra =
     "                     report a serial run of the same flags would\n"
     "  --attack applies to fault-matrix, recovery-matrix, adaptive and\n"
     "  fig3-scale; --fault applies one preset to the fig1a/fig1b/fig2/\n"
-    "  fig3-scale/adaptive sweeps; --recovery applies one preset to those\n"
-    "  plus fault-matrix (fig3 is sampler-only and ignores all three;\n"
-    "  service and recovery-matrix pin their own plan axes).\n";
+    "  fig3-scale/adaptive/resilience/pull-latency sweeps; --recovery\n"
+    "  applies one preset to those plus fault-matrix (fig3 is sampler-only\n"
+    "  and ignores all three; service and recovery-matrix pin their own\n"
+    "  plan axes).\n";
 
 /// The flag vocabulary, shared with every bench through
 /// benchutil::parse_common_flags — a typoed --baseline must not silently
@@ -120,10 +134,6 @@ std::size_t default_trials(Scale scale) {
   return 30;
 }
 
-exp::Sweep::Progress progress(const char* label) {
-  return exp::stderr_progress(label);
-}
-
 /// The workers a figure's trial loops actually start, for the closing line:
 /// the largest pool any of its loops ran on.
 struct Pool {
@@ -141,7 +151,7 @@ struct Pool {
 std::vector<exp::PointResult> run_sweep(exp::Sweep& sweep, const Options& opt,
                                         const char* label, Pool& pool) {
   sweep.set_threads(opt.threads).set_procs(opt.procs);
-  sweep.set_progress(progress(label));
+  sweep.set_progress(exp::stderr_progress(label));
   const bool forked = opt.procs > 1;
   pool.note(std::min(forked ? opt.procs : opt.threads, sweep.total_trials()),
             forked);
@@ -417,7 +427,8 @@ exp::Report run_fig3_scale(const Options& opt, std::size_t trials,
   // executes the same (point, trial) set.
   exp::ScaleArena arena;
   pool.note(1, false);
-  const exp::Sweep::Progress trial_progress = progress("fig3-scale");
+  const exp::Sweep::Progress trial_progress =
+      exp::stderr_progress("fig3-scale");
   std::size_t completed = 0;
   for (const exp::GridPoint& point : points) {
     const std::size_t point_trials = scale_trials(trials, point.n);
@@ -549,6 +560,72 @@ exp::Report run_adaptive(const Options& opt, std::size_t trials,
   return report;
 }
 
+// ---- resilience: agreement vs static corrupt fraction -----------------------
+
+exp::Report run_resilience(const Options& opt, std::size_t trials,
+                           Pool& pool) {
+  exp::Report report = figure_report(
+      opt, "resilience",
+      "Resilience: agreement vs corrupt fraction toward t < (1/3 - eps) n",
+      "corrupt", "agreement_rate", "agreement rate", trials);
+
+  // Quorums sized for the margin: the paper's guarantee is asymptotic in
+  // d ~ log n / eps^2, so at laptop-scale d the liveness cliff shows up as
+  // the correct-and-knowledgeable fraction approaches 1/2.
+  aer::AerConfig base;
+  base.n = 128;
+  base.seed = opt.seed;
+  base.d_override = 24;
+  base.max_rounds = 60;
+
+  // Attack expands before corrupt fraction, so the honest curve keeps
+  // point indices 0-6, and with them its trial seeds.
+  exp::Grid grid;
+  grid.corrupt_fractions = {0.00, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30};
+  grid.strategies = {"none", "wrong"};
+  if (opt.fault != "none") grid.faults = {opt.fault};
+  if (opt.recovery != "off") grid.recoveries = {opt.recovery};
+  exp::Sweep sweep(base, grid, trials);
+  benchutil::add_split_series(
+      report, base, run_sweep(sweep, opt, "resilience", pool),
+      [](const exp::GridPoint& p) { return "AER/" + p.strategy; });
+  return report;
+}
+
+// ---- pull-latency: decision time under the overload chain -------------------
+
+exp::Report run_pull_latency(const Options& opt, std::size_t trials,
+                             Pool& pool) {
+  exp::Report report = figure_report(
+      opt, "pull-latency",
+      "Lemmas 6/8: pull-phase decision latency under the overload chain", "n",
+      "mean_decision_time.mean", "mean decision time", trials);
+
+  aer::AerConfig base;
+  base.seed = opt.seed;
+  // Tight but above the honest per-responder load (~d): the paper's
+  // log^2 n budget exceeds t at simulation scale and would mute the attack.
+  base.answer_budget = 16;
+
+  std::vector<std::size_t> sizes = benchutil::protocol_sizes(opt.scale);
+  // Three models x two attacks: the default scale stops at n=1024.
+  if (opt.scale == Scale::kDefault) sizes.pop_back();
+  exp::Grid grid;
+  grid.ns = sizes;
+  grid.models = {aer::Model::kSyncNonRushing, aer::Model::kSyncRushing,
+                 aer::Model::kAsync};
+  grid.strategies = {"none", "overload"};
+  if (opt.fault != "none") grid.faults = {opt.fault};
+  if (opt.recovery != "off") grid.recoveries = {opt.recovery};
+  exp::Sweep sweep(base, grid, trials);
+  benchutil::add_split_series(
+      report, base, run_sweep(sweep, opt, "pull-latency", pool),
+      [](const exp::GridPoint& p) {
+        return std::string(aer::model_name(p.model)) + "/" + p.strategy;
+      });
+  return report;
+}
+
 // ---- service: heavy-traffic streaming mode ----------------------------------
 
 exp::Report run_service_figure(const Options& opt, std::size_t trials,
@@ -602,15 +679,52 @@ exp::Report run_service_figure(const Options& opt, std::size_t trials,
 
 // ---- driver -----------------------------------------------------------------
 
-/// The figures --shard/--merge can split and --procs can fork: exactly those
-/// whose trials run through exp::Sweep (fig3 drives exp::run_indexed
-/// directly, service folds its streams in instance order on
-/// exp::run_indexed_workers, and fig3-scale loops by hand with non-uniform
-/// trial counts).
-bool shardable_figure(const std::string& figure) {
-  return figure == "fig1a" || figure == "fig1b" || figure == "fig2" ||
-         figure == "fault-matrix" || figure == "recovery-matrix" ||
-         figure == "adaptive";
+struct Figure {
+  const char* name;
+  exp::Report (*run)(const Options&, std::size_t, Pool&);
+  /// The trials run through exp::Sweep, so --shard/--merge can split the
+  /// figure and --procs can fork it. fig3 drives exp::run_indexed
+  /// directly, service folds its streams in instance order on
+  /// exp::run_indexed_workers, and fig3-scale loops by hand with
+  /// non-uniform trial counts.
+  bool sweep;
+};
+
+constexpr Figure kFigures[] = {
+    {"fig1a", run_fig1a, true},
+    {"fig1b", run_fig1b, true},
+    {"fig2", run_fig2, true},
+    {"fig3", run_fig3, false},
+    {"fig3-scale", run_fig3_scale, false},
+    {"fault-matrix", run_fault_matrix, true},
+    {"recovery-matrix", run_recovery_matrix, true},
+    {"adaptive", run_adaptive, true},
+    {"resilience", run_resilience, true},
+    {"pull-latency", run_pull_latency, true},
+    {"service", run_service_figure, false},
+};
+
+const Figure* find_figure(const std::string& name) {
+  for (const Figure& figure : kFigures) {
+    if (name == figure.name) return &figure;
+  }
+  return nullptr;
+}
+
+bool shardable_figure(const std::string& name) {
+  const Figure* figure = find_figure(name);
+  return figure != nullptr && figure->sweep;
+}
+
+/// "fig1a, fig1b, ..." — every figure, or only the Sweep-driven ones.
+std::string figure_names(bool sweep_only) {
+  std::string out;
+  for (const Figure& figure : kFigures) {
+    if (sweep_only && !figure.sweep) continue;
+    out += out.empty() ? "" : ", ";
+    out += figure.name;
+  }
+  return out;
 }
 
 Scale scale_from_name(const std::string& name) {
@@ -738,10 +852,8 @@ int main(int argc, char** argv) {
       if (!shardable_figure(opt.figure)) {
         std::fprintf(stderr,
                      "fba_repro: --shard/--merge support only the"
-                     " Sweep-driven figures (fig1a, fig1b, fig2,"
-                     " fault-matrix, recovery-matrix, adaptive), not"
-                     " \"%s\"\n",
-                     opt.figure.c_str());
+                     " Sweep-driven figures (%s), not \"%s\"\n",
+                     figure_names(true).c_str(), opt.figure.c_str());
         return 2;
       }
     }
@@ -785,10 +897,8 @@ int main(int argc, char** argv) {
     if (opt.procs > 1 && !shardable_figure(opt.figure)) {
       std::fprintf(stderr,
                    "fba_repro: --procs forks workers only for the"
-                   " Sweep-driven figures (fig1a, fig1b, fig2,"
-                   " fault-matrix, recovery-matrix, adaptive), not"
-                   " \"%s\"\n",
-                   opt.figure.c_str());
+                   " Sweep-driven figures (%s), not \"%s\"\n",
+                   figure_names(true).c_str(), opt.figure.c_str());
       return 2;
     }
 
@@ -816,34 +926,16 @@ int main(int argc, char** argv) {
       exp::ShardIo::instance().start_record(meta);
     }
 
-    exp::Report report;
-    Pool pool;
-    if (opt.figure == "fig1a") {
-      report = run_fig1a(opt, trials, pool);
-    } else if (opt.figure == "fig1b") {
-      report = run_fig1b(opt, trials, pool);
-    } else if (opt.figure == "fig2") {
-      report = run_fig2(opt, trials, pool);
-    } else if (opt.figure == "fig3") {
-      report = run_fig3(opt, trials, pool);
-    } else if (opt.figure == "fig3-scale") {
-      report = run_fig3_scale(opt, trials, pool);
-    } else if (opt.figure == "fault-matrix") {
-      report = run_fault_matrix(opt, trials, pool);
-    } else if (opt.figure == "recovery-matrix") {
-      report = run_recovery_matrix(opt, trials, pool);
-    } else if (opt.figure == "adaptive") {
-      report = run_adaptive(opt, trials, pool);
-    } else if (opt.figure == "service") {
-      report = run_service_figure(opt, trials, pool);
-    } else {
+    const Figure* figure = find_figure(opt.figure);
+    if (figure == nullptr) {
       std::fprintf(stderr,
-                   "%s --figure=%s: unknown figure (known: fig1a, fig1b,"
-                   " fig2, fig3, fig3-scale, fault-matrix, recovery-matrix,"
-                   " adaptive, service; --help for details)\n",
-                   argv[0], opt.figure.c_str());
+                   "%s --figure=%s: unknown figure (known: %s; --help for"
+                   " details)\n",
+                   argv[0], opt.figure.c_str(), figure_names(false).c_str());
       return 2;
     }
+    Pool pool;
+    const exp::Report report = figure->run(opt, trials, pool);
 
     const bool interrupted = exp::interrupt_requested();
 

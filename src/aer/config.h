@@ -55,10 +55,6 @@ struct AerConfig {
   /// Algorithm 3 answer budget; 0 means ceil(log2 n)^2 as in the paper.
   std::size_t answer_budget = 0;
 
-  /// Ablation: when false, over-budget requests are dropped instead of
-  /// deferred until decision ("Wait for has_decided").
-  bool defer_answers = true;
-
   Round max_rounds = 300;
   double max_time = 300.0;
 

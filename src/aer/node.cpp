@@ -298,10 +298,8 @@ void AerNode::emit_answer(sim::Context& ctx, NodeId x, StringId s) {
   // Algorithm 3's answer budget: an overloaded node stops answering until it
   // has decided (then it answers for its decided string only).
   if (!has_decided_ && over_budget(s)) {
-    if (shared_->config.defer_answers) {
-      deferred_.emplace_back(x, s);
-      deferred_peak_ = std::max(deferred_peak_, deferred_.size());
-    }
+    deferred_.emplace_back(x, s);
+    deferred_peak_ = std::max(deferred_peak_, deferred_.size());
     return;
   }
   ++answer_counts_.get_or_create(s);

@@ -300,12 +300,10 @@ void SoaAerState::handle_poll(sim::Context& ctx, NodeId self, NodeId from,
 void SoaAerState::emit_answer(sim::Context& ctx, NodeId self, NodeId x,
                               StringId s) {
   if (!has_decided_[self] && over_budget(self, s)) {
-    if (shared_->config.defer_answers) {
-      deferred_[self].emplace_back(x, s);
-      deferred_peak_[self] = std::max(
-          deferred_peak_[self],
-          static_cast<std::uint32_t>(deferred_[self].size()));
-    }
+    deferred_[self].emplace_back(x, s);
+    deferred_peak_[self] =
+        std::max(deferred_peak_[self],
+                 static_cast<std::uint32_t>(deferred_[self].size()));
     return;
   }
   ++answer_counts_.get_or_create(pack_ns(self, s));

@@ -85,7 +85,8 @@ struct TrialOutcome {
   double last_corruption_time = 0;
 
   /// Per-node decision times, when the trial runner harvested them (the
-  /// world-owning runners do); pooled across trials for latency quantiles.
+  /// world-aware outcome_of/outcome_into do); pooled across trials for
+  /// latency quantiles.
   std::vector<double> decision_times;
 };
 

@@ -79,7 +79,7 @@ class StreamingStats {
   double mean() const;
   double stddev() const;  ///< sample stddev (n-1 denominator), as SummaryStats.
 
-  /// Histogram quantile: cumulative bucket counts with linear interpolation
+  /// Quantile from the buckets: cumulative counts with linear interpolation
   /// inside the landing bucket, clamped to the exact [min, max]. Relative
   /// error is bounded by the bucket width (~6%).
   double quantile(double q) const;

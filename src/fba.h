@@ -50,7 +50,6 @@
 #include "support/bitstring.h"
 #include "support/flat_counter.h"
 #include "support/flat_map.h"
-#include "support/histogram.h"
 #include "support/intern.h"
 #include "support/mem.h"
 #include "support/pool.h"

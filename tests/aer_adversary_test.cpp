@@ -72,6 +72,42 @@ TEST_P(SafetySweep, NoCorrectNodeDecidesJunk) {
   EXPECT_TRUE(report.agreement);
 }
 
+/// The wrong-answer attack with every corrupt answer sent d times: a
+/// requester must credit each poll-list member once, whatever it repeats.
+/// No registry strategy repeats a message.
+class RepeatedWrongAnswerStrategy final : public adv::Strategy {
+ public:
+  explicit RepeatedWrongAnswerStrategy(const AerWorldView& view)
+      : wrong_(view, 16), repeats_(view.shared->config.resolved_d()) {}
+
+  void on_setup(adv::AdvContext& ctx) override { wrong_.on_setup(ctx); }
+  void on_deliver_to_corrupt(adv::AdvContext& ctx,
+                             const sim::Envelope& env) override {
+    for (std::size_t i = 0; i < repeats_; ++i) {
+      wrong_.on_deliver_to_corrupt(ctx, env);
+    }
+  }
+
+ private:
+  adv::WrongAnswerStrategy wrong_;
+  std::size_t repeats_;
+};
+
+TEST_P(SafetySweep, RepeatedAnswersCountOncePerMemberOnBothActors) {
+  const AerConfig cfg = attack_config(GetParam());
+  const StrategyFactory repeat = [](const AerWorldView& view) {
+    return std::make_unique<RepeatedWrongAnswerStrategy>(view);
+  };
+  const AerReport pointer = run_aer(cfg, repeat);
+  AerWorld world = build_aer_world(cfg);
+  SoaArena arena;
+  const AerReport soa = run_aer_world_soa(world, arena, {}, repeat);
+  for (const AerReport* report : {&pointer, &soa}) {
+    EXPECT_EQ(report->decided_gstring, report->decided_count);
+    EXPECT_TRUE(report->agreement);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, SafetySweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
@@ -93,7 +129,6 @@ TEST(AdversaryAerTest, PollStuffingBurnsBudgetsButDeferralRecovers) {
   // coalition saturates some victims: deferral must carry those through.
   AerConfig cfg = attack_config(8);
   cfg.answer_budget = 20;
-  cfg.defer_answers = true;
   const AerReport report = run_aer(cfg, [](const AerWorldView& view) {
     return std::make_unique<adv::PollStuffStrategy>(view, 20, 512);
   });

@@ -105,7 +105,6 @@ TEST(PullPhaseTest, TightAnswerBudgetStillCompletesWithDeferral) {
   // bootstrap a cascade that serves everyone else after decision.
   AerConfig cfg = config_for(Model::kSyncRushing, 6);
   cfg.answer_budget = 6;
-  cfg.defer_answers = true;
   const AerReport report = run_aer(cfg);
   EXPECT_TRUE(report.agreement);
   EXPECT_GT(report.max_deferred_answers, 0u);

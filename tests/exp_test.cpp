@@ -339,7 +339,7 @@ TEST(SweepTest, ModelSweepReachesAgreementWithAllCorrectNodes) {
 
 TEST(SweepTest, CorruptedSweepNeverDecidesWrong) {
   // With the default 8% corruption a correct node can stall (a liveness
-  // tail at laptop-scale d — see bench_endtoend's resilience curve), but
+  // tail at laptop-scale d — see fba_repro --figure=resilience), but
   // safety must hold: no correct node ever decides on junk.
   aer::AerConfig base;
   base.seed = 7;

@@ -1,60 +1,11 @@
-// Tests for the later additions: histograms and engine timers.
+// Engine timers: sync timers fire at ceil rounds, async ones at exact times.
 #include <gtest/gtest.h>
 
 #include "net/async_engine.h"
 #include "net/sync_engine.h"
-#include "support/histogram.h"
 
 namespace fba {
 namespace {
-
-// ----- Histogram ------------------------------------------------------------------
-
-TEST(HistogramTest, BasicStats) {
-  Histogram h(0, 10, 10);
-  for (double v : {1.0, 2.0, 2.0, 3.0, 8.0}) h.add(v);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 8.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 16.0 / 5);
-}
-
-TEST(HistogramTest, QuantilesAreOrderedAndBracketed) {
-  Histogram h(0, 100, 50);
-  Rng rng(5);
-  for (int i = 0; i < 10000; ++i) h.add(rng.uniform() * 100);
-  const double q10 = h.quantile(0.10);
-  const double q50 = h.quantile(0.50);
-  const double q99 = h.quantile(0.99);
-  EXPECT_LE(q10, q50);
-  EXPECT_LE(q50, q99);
-  EXPECT_NEAR(q50, 50.0, 5.0);
-  EXPECT_NEAR(q99, 99.0, 5.0);
-}
-
-TEST(HistogramTest, OverflowAndUnderflowCaptured) {
-  Histogram h(0, 1, 4);
-  h.add(-5);
-  h.add(99);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_DOUBLE_EQ(h.min(), -5);
-  EXPECT_DOUBLE_EQ(h.max(), 99);
-}
-
-TEST(HistogramTest, RenderMentionsRangeAndCount) {
-  Histogram h(0, 4, 8);
-  h.add(1);
-  h.add(1.2);
-  const std::string text = h.render();
-  EXPECT_NE(text.find("n=2"), std::string::npos);
-}
-
-TEST(HistogramTest, RejectsBadConfig) {
-  EXPECT_THROW(Histogram(3, 3, 4), ConfigError);
-  EXPECT_THROW(Histogram(0, 1, 0), ConfigError);
-  Histogram h(0, 1, 4);
-  EXPECT_THROW(h.quantile(1.5), ConfigError);
-}
 
 // ----- engine timers ---------------------------------------------------------------
 

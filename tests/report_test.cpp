@@ -282,6 +282,40 @@ TEST(ReportTest, CurveRenderingsNameEverySeries) {
   EXPECT_NE(gp.find("title \"AER\""), std::string::npos);
 }
 
+// The corrupt-fraction axis (fba_repro --figure=resilience) plots each point
+// at its fraction, on a linear scale.
+TEST(ReportTest, CorruptAxisCurvePlotsTheFractions) {
+  aer::AerConfig base;
+  base.n = 32;
+  base.seed = 20130722;
+  base.max_rounds = 80;
+  exp::Grid grid;
+  grid.corrupt_fractions = {0.05, 0.1};
+  exp::Sweep sweep(base, grid, /*trials=*/2);
+  exp::ReportMeta meta;
+  meta.figure = "test-corrupt";
+  meta.x_axis = "corrupt";
+  meta.y_metric = "agreement_rate";
+  meta.y_label = "agreement rate";
+  exp::Report report(std::move(meta));
+  report.add_points("AER", base, sweep.run());
+
+  const std::string gp = report.to_gnuplot();
+  EXPECT_EQ(gp.find("set logscale"), std::string::npos);
+  EXPECT_EQ(gp.find("xtic("), std::string::npos);
+  EXPECT_NE(gp.find("EOD\n0.05 "), std::string::npos) << gp;
+  EXPECT_NE(gp.find("\n0.1 "), std::string::npos) << gp;
+
+  const std::string md = report.to_markdown();
+  const std::size_t axis = md.find("(corrupt)");
+  ASSERT_NE(axis, std::string::npos) << md;
+  const std::size_t line = md.rfind('\n', axis) + 1;
+  const std::string tics = md.substr(line, md.find('\n', axis) - line);
+  EXPECT_NE(tics.find(" 0.05 "), std::string::npos) << tics;
+  EXPECT_NE(tics.find(" 0.1 "), std::string::npos) << tics;
+  EXPECT_EQ(tics.find("log scale"), std::string::npos) << tics;
+}
+
 // The --help satellite: the generated usage block is the single source of
 // truth, so it must mention every registered attack, fault and recovery
 // preset and the report flag.
