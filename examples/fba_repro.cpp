@@ -103,10 +103,9 @@ constexpr const char* kUsageExtra =
     "                     report a serial run of the same flags would\n"
     "  --attack applies to fault-matrix, recovery-matrix, adaptive and\n"
     "  fig3-scale; --fault applies one preset to the fig1a/fig1b/fig2/\n"
-    "  fig3-scale/adaptive/resilience/pull-latency sweeps; --recovery\n"
-    "  applies one preset to those plus fault-matrix (fig3 is sampler-only\n"
-    "  and ignores all three; service and recovery-matrix pin their own\n"
-    "  plan axes).\n";
+    "  fig3-scale/adaptive sweeps; --recovery applies one preset to those\n"
+    "  plus fault-matrix (fig3 is sampler-only and ignores all three;\n"
+    "  service and recovery-matrix pin their own plan axes).\n";
 
 /// The flag vocabulary, shared with every bench through
 /// benchutil::parse_common_flags — a typoed --baseline must not silently
@@ -583,8 +582,6 @@ exp::Report run_resilience(const Options& opt, std::size_t trials,
   exp::Grid grid;
   grid.corrupt_fractions = {0.00, 0.05, 0.10, 0.15, 0.20, 0.25, 0.30};
   grid.strategies = {"none", "wrong"};
-  if (opt.fault != "none") grid.faults = {opt.fault};
-  if (opt.recovery != "off") grid.recoveries = {opt.recovery};
   exp::Sweep sweep(base, grid, trials);
   benchutil::add_split_series(
       report, base, run_sweep(sweep, opt, "resilience", pool),
@@ -615,8 +612,6 @@ exp::Report run_pull_latency(const Options& opt, std::size_t trials,
   grid.models = {aer::Model::kSyncNonRushing, aer::Model::kSyncRushing,
                  aer::Model::kAsync};
   grid.strategies = {"none", "overload"};
-  if (opt.fault != "none") grid.faults = {opt.fault};
-  if (opt.recovery != "off") grid.recoveries = {opt.recovery};
   exp::Sweep sweep(base, grid, trials);
   benchutil::add_split_series(
       report, base, run_sweep(sweep, opt, "pull-latency", pool),
