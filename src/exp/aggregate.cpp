@@ -10,66 +10,25 @@ namespace fba::exp {
 
 TrialOutcome outcome_of(const aer::AerReport& r) {
   TrialOutcome o;
-  o.seed = 0;
-  o.correct = r.correct_count;
-  o.decided = r.decided_count;
-  o.wrong_decisions = r.decided_count - r.decided_gstring;
-  o.knowledgeable = r.knowledgeable_count;
-  o.agreement = r.agreement;
-  o.engine_completed = r.engine_completed;
-  o.completion_time = r.completion_time;
-  o.mean_decision_time = r.mean_decision_time;
-  o.engine_time = r.engine_time;
-  o.total_messages = static_cast<double>(r.total_messages);
-  o.amortized_bits = r.amortized_bits;
-  o.max_sent_bits = r.sent_bits.max;
-  o.mean_sent_bits = r.sent_bits.mean;
-  o.imbalance = r.sent_bits.imbalance();
-  o.push_bits_per_node = r.push_bits_per_node;
-  o.candidate_lists_per_node =
-      r.correct_count > 0 ? static_cast<double>(r.sum_candidate_lists) /
-                                static_cast<double>(r.correct_count)
-                          : 0;
-  o.max_candidate_list = r.max_candidate_list;
-  o.missing_gstring = r.nodes_missing_gstring;
-  o.max_deferred = r.max_deferred_answers;
-  o.mem_bytes_per_node = r.mem_bytes_per_node;
-  o.runtime_corruptions = static_cast<double>(r.runtime_corruptions);
-  o.first_corruption_time = r.first_corruption_time;
-  o.last_corruption_time = r.last_corruption_time;
+#define FBA_COPY_FROM_REPORT(name, type, from_report, ...) \
+  o.name = static_cast<type>(from_report);
+  FBA_TRIAL_METRICS(FBA_COPY_FROM_REPORT, FBA_COPY_FROM_REPORT,
+                    FBA_METRIC_SKIP, FBA_METRIC_SKIP)
+#undef FBA_COPY_FROM_REPORT
   for (std::size_t k = 0; k < sim::kNumMessageKinds; ++k) {
     o.bits_by_kind[k] = static_cast<double>(r.bits_by_kind[k]);
     o.msgs_by_kind[k] = static_cast<double>(r.msgs_by_kind[k]);
   }
-  o.fault_dropped_msgs = static_cast<double>(r.fault_dropped_msgs);
-  o.fault_dropped_bits = static_cast<double>(r.fault_dropped_bits);
-  o.fault_delayed_msgs = static_cast<double>(r.fault_delayed_msgs);
-  o.recovery_retransmit_msgs = static_cast<double>(r.recovery_retransmit_msgs);
-  o.recovery_retransmit_bits = static_cast<double>(r.recovery_retransmit_bits);
-  o.recovery_acked_msgs = static_cast<double>(r.recovery_acked_msgs);
-  o.recovery_dead_msgs = static_cast<double>(r.recovery_dead_msgs);
-  o.recovery_dup_msgs = static_cast<double>(r.recovery_dup_msgs);
   for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
     o.drops_by_cause[c] = static_cast<double>(r.fault_drops_by_cause[c]);
-  }
-  if (r.n > 0) {
-    o.push_msgs_per_node =
-        static_cast<double>(
-            r.msgs_by_kind[sim::kind_index(sim::MessageKind::kPush)]) /
-        static_cast<double>(r.n);
   }
   return o;
 }
 
 TrialOutcome outcome_of(const aer::AerReport& report,
                         const aer::AerWorld& world) {
-  TrialOutcome o = outcome_of(report);
-  o.decision_times.reserve(world.correct.size());
-  for (NodeId id : world.correct) {
-    if (world.decisions.has_decided(id)) {
-      o.decision_times.push_back(world.decisions.time(id));
-    }
-  }
+  TrialOutcome o;
+  outcome_into(report, world, o);
   return o;
 }
 
@@ -103,12 +62,42 @@ TrialOutcome outcome_of(const ba::BaReport& r) {
 
 namespace {
 
-std::vector<double> collect(const std::vector<TrialOutcome>& outcomes,
-                            double TrialOutcome::* field) {
-  std::vector<double> values;
-  values.reserve(outcomes.size());
-  for (const TrialOutcome& o : outcomes) values.push_back(o.*field);
-  return values;
+/// Folds one metric's per-trial values, in outcome order, into `out`.
+template <Reduce R, class Out, class PerTrial>
+void fold(Out& out, const std::vector<TrialOutcome>& outcomes,
+          PerTrial per_trial) {
+  if constexpr (R == Reduce::kSum) {
+    for (const TrialOutcome& o : outcomes) {
+      out += static_cast<std::uint64_t>(per_trial(o));
+    }
+  } else if constexpr (R == Reduce::kMax) {
+    for (const TrialOutcome& o : outcomes) {
+      out = std::max(out, static_cast<std::uint64_t>(per_trial(o)));
+    }
+  } else if constexpr (R == Reduce::kMean || R == Reduce::kMeanIfCorrupted) {
+    double sum = 0;
+    std::size_t counted = 0;
+    for (const TrialOutcome& o : outcomes) {
+      if (R == Reduce::kMean || o.runtime_corruptions > 0) {
+        ++counted;
+        sum += per_trial(o);
+      }
+    }
+    if (counted > 0) out = sum / static_cast<double>(counted);
+  } else if constexpr (R == Reduce::kStats) {
+    std::vector<double> values;
+    values.reserve(outcomes.size());
+    for (const TrialOutcome& o : outcomes) values.push_back(per_trial(o));
+    out = summarize_sample(std::move(values));
+  } else {
+    static_assert(R == Reduce::kPooled);
+    std::vector<double> pooled;
+    for (const TrialOutcome& o : outcomes) {
+      const std::vector<double>& samples = per_trial(o);
+      pooled.insert(pooled.end(), samples.begin(), samples.end());
+    }
+    out = summarize_sample(std::move(pooled));
+  }
 }
 
 void hash_doubles(std::uint64_t& h, std::initializer_list<double> values) {
@@ -129,13 +118,17 @@ void hash_stats(std::uint64_t& h, const SummaryStats& s) {
 }  // namespace
 
 std::uint64_t Aggregate::fingerprint() const {
+  // The golden corpora and every committed baseline pin this hash, in this
+  // order: the counts in one block, then the time and traffic stats, then
+  // the push and phase-split means, the per-kind traffic, and the fault
+  // counters. The metric table follows the report's columns, which order
+  // these fields differently, so the list is spelled out here; report_test
+  // checks that it hashes exactly the rows whose fp column says true.
   std::uint64_t h = 0x666261206578700aull;
   h = siphash_words(SipKey{h, 1},
                     {trials, agreements, engine_incomplete, wrong_decisions,
-                     stalled_nodes, correct_nodes,
-                     static_cast<std::uint64_t>(max_candidate_list),
-                     missing_gstring,
-                     static_cast<std::uint64_t>(max_deferred)});
+                     stalled_nodes, correct_nodes, max_candidate_list,
+                     missing_gstring, max_deferred});
   for (const SummaryStats* s :
        {&completion_time, &mean_decision_time, &engine_time, &total_messages,
         &amortized_bits, &max_sent_bits, &mean_sent_bits, &imbalance,
@@ -165,108 +158,27 @@ std::uint64_t Aggregate::fingerprint() const {
   for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
     hash_doubles(h, {drops_by_cause[c]});
   }
-  // mem_bytes_per_node is deliberately NOT hashed — see its declaration.
-  // Likewise the corruption-timeline fields (runtime_corruptions,
-  // first/last_corruption_time) and the recovery_* fields: zero on every
-  // pinned golden.
   return h;
 }
 
 Aggregate aggregate_outcomes(const std::vector<TrialOutcome>& outcomes) {
   Aggregate agg;
-  agg.trials = outcomes.size();
+  // `per_trial` is parenthesized so a member reads as a reference, not a
+  // copy (the pooled decision times).
+#define FBA_FOLD_TALLY(name, per_trial, reduce, ...)        \
+  fold<Reduce::reduce>(                                     \
+      agg.name, outcomes,                                   \
+      []([[maybe_unused]] const TrialOutcome& o)            \
+          -> decltype(auto) { return (per_trial); });
+#define FBA_FOLD_METRIC(name, type, from_report, reduce, ...) \
+  FBA_FOLD_TALLY(name, o.name, reduce)
+  FBA_TRIAL_METRICS(FBA_METRIC_SKIP, FBA_FOLD_METRIC, FBA_FOLD_TALLY,
+                    FBA_METRIC_SKIP)
+#undef FBA_FOLD_METRIC
+#undef FBA_FOLD_TALLY
 
-  std::vector<double> pooled_times;
-  double push_bits = 0, push_msgs = 0, lists = 0;
-  double ae_rounds = 0, red_time = 0, ae_bits = 0, red_bits = 0;
-  double delayed = 0;
-  double rec_acked = 0, rec_dead = 0, rec_dup = 0;
-  double first_sum = 0, last_sum = 0;
-  std::size_t corrupted_trials = 0;
-  std::array<double, sim::kNumFaultCauses> cause_sums{};
-  for (const TrialOutcome& o : outcomes) {
-    agg.agreements += o.agreement ? 1 : 0;
-    agg.engine_incomplete += o.engine_completed ? 0 : 1;
-    agg.wrong_decisions += o.wrong_decisions;
-    agg.stalled_nodes += o.correct - o.decided;
-    agg.correct_nodes += o.correct;
-    agg.max_candidate_list =
-        std::max(agg.max_candidate_list, o.max_candidate_list);
-    agg.missing_gstring += o.missing_gstring;
-    agg.max_deferred = std::max(agg.max_deferred, o.max_deferred);
-    push_bits += o.push_bits_per_node;
-    push_msgs += o.push_msgs_per_node;
-    lists += o.candidate_lists_per_node;
-    ae_rounds += o.ae_rounds;
-    red_time += o.reduction_time;
-    ae_bits += o.ae_bits;
-    red_bits += o.reduction_bits;
-    delayed += o.fault_delayed_msgs;
-    rec_acked += o.recovery_acked_msgs;
-    rec_dead += o.recovery_dead_msgs;
-    rec_dup += o.recovery_dup_msgs;
-    agg.runtime_corruptions += static_cast<std::uint64_t>(o.runtime_corruptions);
-    if (o.runtime_corruptions > 0) {
-      ++corrupted_trials;
-      first_sum += o.first_corruption_time;
-      last_sum += o.last_corruption_time;
-    }
-    for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
-      cause_sums[c] += o.drops_by_cause[c];
-    }
-    pooled_times.insert(pooled_times.end(), o.decision_times.begin(),
-                        o.decision_times.end());
-  }
-  if (!outcomes.empty()) {
-    const auto count = static_cast<double>(outcomes.size());
-    agg.push_bits_per_node = push_bits / count;
-    agg.push_msgs_per_node = push_msgs / count;
-    agg.candidate_lists_per_node = lists / count;
-    agg.ae_rounds = ae_rounds / count;
-    agg.reduction_time = red_time / count;
-    agg.ae_bits = ae_bits / count;
-    agg.reduction_bits = red_bits / count;
-    agg.fault_delayed_msgs = delayed / count;
-    agg.recovery_acked_msgs = rec_acked / count;
-    agg.recovery_dead_msgs = rec_dead / count;
-    agg.recovery_dup_msgs = rec_dup / count;
-    for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
-      agg.drops_by_cause[c] = cause_sums[c] / count;
-    }
-  }
-  if (corrupted_trials > 0) {
-    agg.first_corruption_time =
-        first_sum / static_cast<double>(corrupted_trials);
-    agg.last_corruption_time = last_sum / static_cast<double>(corrupted_trials);
-  }
-
-  agg.completion_time =
-      summarize_sample(collect(outcomes, &TrialOutcome::completion_time));
-  agg.mean_decision_time =
-      summarize_sample(collect(outcomes, &TrialOutcome::mean_decision_time));
-  agg.engine_time =
-      summarize_sample(collect(outcomes, &TrialOutcome::engine_time));
-  agg.total_messages =
-      summarize_sample(collect(outcomes, &TrialOutcome::total_messages));
-  agg.amortized_bits =
-      summarize_sample(collect(outcomes, &TrialOutcome::amortized_bits));
-  agg.max_sent_bits =
-      summarize_sample(collect(outcomes, &TrialOutcome::max_sent_bits));
-  agg.mean_sent_bits =
-      summarize_sample(collect(outcomes, &TrialOutcome::mean_sent_bits));
-  agg.imbalance = summarize_sample(collect(outcomes, &TrialOutcome::imbalance));
-  agg.mem_bytes_per_node =
-      summarize_sample(collect(outcomes, &TrialOutcome::mem_bytes_per_node));
-  agg.fault_dropped_msgs =
-      summarize_sample(collect(outcomes, &TrialOutcome::fault_dropped_msgs));
-  agg.fault_dropped_bits =
-      summarize_sample(collect(outcomes, &TrialOutcome::fault_dropped_bits));
-  agg.recovery_retransmit_msgs = summarize_sample(
-      collect(outcomes, &TrialOutcome::recovery_retransmit_msgs));
-  agg.recovery_retransmit_bits = summarize_sample(
-      collect(outcomes, &TrialOutcome::recovery_retransmit_bits));
-  agg.decision_time = summarize_sample(std::move(pooled_times));
-
+  if (outcomes.empty()) return agg;
+  const auto count = static_cast<double>(outcomes.size());
   std::vector<double> kind_values(outcomes.size());
   for (std::size_t k = 0; k < sim::kNumMessageKinds; ++k) {
     double msg_sum = 0;
@@ -275,9 +187,12 @@ Aggregate aggregate_outcomes(const std::vector<TrialOutcome>& outcomes) {
       msg_sum += outcomes[i].msgs_by_kind[k];
     }
     agg.bits_by_kind[k] = summarize_sample(kind_values);
-    if (!outcomes.empty()) {
-      agg.msgs_by_kind[k] = msg_sum / static_cast<double>(outcomes.size());
-    }
+    agg.msgs_by_kind[k] = msg_sum / count;
+  }
+  for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
+    double sum = 0;
+    for (const TrialOutcome& o : outcomes) sum += o.drops_by_cause[c];
+    agg.drops_by_cause[c] = sum / count;
   }
   return agg;
 }

@@ -1,13 +1,11 @@
 #include "exp/report.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <optional>
+#include <type_traits>
 
 #include "support/json.h"
 #include "support/types.h"
@@ -29,23 +27,7 @@ namespace {
 /// byte-for-byte.
 std::string canonical_num(double v) { return json::number_to_string(v); }
 
-std::string hex_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 std::string dec_u64(std::uint64_t v) { return std::to_string(v); }
-
-std::uint64_t parse_u64(const std::string& text, int radix) {
-  std::uint64_t out = 0;
-  const auto r =
-      std::from_chars(text.data(), text.data() + text.size(), out, radix);
-  FBA_REQUIRE(r.ec == std::errc() && r.ptr == text.data() + text.size(),
-              "report: malformed integer field \"" + text + "\"");
-  return out;
-}
 
 /// Short human-oriented form for markdown tables (4 significant digits).
 std::string pretty_num(double v) {
@@ -63,182 +45,133 @@ aer::Model model_from_name(const std::string& name) {
   throw ConfigError("report: unknown model name \"" + name + "\"");
 }
 
-// ---- the metric name tables -------------------------------------------------
+// ---- metric access ----------------------------------------------------------
 
-struct StatField {
-  const char* name;
-  SummaryStats Aggregate::* stat;
-};
-
-const StatField kStatFields[] = {
-    {"completion_time", &Aggregate::completion_time},
-    {"mean_decision_time", &Aggregate::mean_decision_time},
-    {"engine_time", &Aggregate::engine_time},
-    {"total_messages", &Aggregate::total_messages},
-    {"amortized_bits", &Aggregate::amortized_bits},
-    {"max_sent_bits", &Aggregate::max_sent_bits},
-    {"mean_sent_bits", &Aggregate::mean_sent_bits},
-    {"imbalance", &Aggregate::imbalance},
-    {"decision_time", &Aggregate::decision_time},
-    {"fault_dropped_msgs", &Aggregate::fault_dropped_msgs},
-    {"fault_dropped_bits", &Aggregate::fault_dropped_bits},
-    // Schema v2: absent from v1 files, so point_from_json must tolerate a
-    // missing stats entry (defaults to all-zero).
-    {"mem_bytes_per_node", &Aggregate::mem_bytes_per_node},
-    // Schema v5: the recovery sublayer's overhead (absent from v1–v4 files,
-    // same missing-entry tolerance).
-    {"recovery_retransmit_msgs", &Aggregate::recovery_retransmit_msgs},
-    {"recovery_retransmit_bits", &Aggregate::recovery_retransmit_bits},
-};
-
-struct ScalarField {
-  const char* name;
-  double (*get)(const Aggregate&);
-};
-
-const ScalarField kScalarFields[] = {
-    {"agreement_rate", [](const Aggregate& a) { return a.agreement_rate(); }},
-    {"decided_fraction",
-     [](const Aggregate& a) { return a.decided_fraction(); }},
-    {"trials", [](const Aggregate& a) { return double(a.trials); }},
-    {"agreements", [](const Aggregate& a) { return double(a.agreements); }},
-    {"engine_incomplete",
-     [](const Aggregate& a) { return double(a.engine_incomplete); }},
-    {"wrong_decisions",
-     [](const Aggregate& a) { return double(a.wrong_decisions); }},
-    // Per-trial rate of the summed counter, so diffs stay meaningful when
-    // the two reports ran different trial counts.
-    {"wrong_decisions_per_trial",
-     [](const Aggregate& a) {
-       return a.trials > 0 ? double(a.wrong_decisions) / double(a.trials) : 0;
-     }},
-    {"stalled_nodes",
-     [](const Aggregate& a) { return double(a.stalled_nodes); }},
-    {"ae_rounds", [](const Aggregate& a) { return a.ae_rounds; }},
-    {"reduction_time", [](const Aggregate& a) { return a.reduction_time; }},
-    {"ae_bits", [](const Aggregate& a) { return a.ae_bits; }},
-    {"reduction_bits", [](const Aggregate& a) { return a.reduction_bits; }},
-    {"push_bits_per_node",
-     [](const Aggregate& a) { return a.push_bits_per_node; }},
-    {"push_msgs_per_node",
-     [](const Aggregate& a) { return a.push_msgs_per_node; }},
-    {"candidate_lists_per_node",
-     [](const Aggregate& a) { return a.candidate_lists_per_node; }},
-    {"max_candidate_list",
-     [](const Aggregate& a) { return double(a.max_candidate_list); }},
-    {"missing_gstring",
-     [](const Aggregate& a) { return double(a.missing_gstring); }},
-    {"max_deferred", [](const Aggregate& a) { return double(a.max_deferred); }},
-    {"fault_delayed_msgs",
-     [](const Aggregate& a) { return a.fault_delayed_msgs; }},
-    // Schema v4: the adaptive-adversary corruption timeline. All zero on
-    // static runs, and deliberately outside Aggregate::fingerprint().
-    {"runtime_corruptions",
-     [](const Aggregate& a) { return double(a.runtime_corruptions); }},
-    {"runtime_corruptions_per_trial",
-     [](const Aggregate& a) {
-       return a.trials > 0 ? double(a.runtime_corruptions) / double(a.trials)
-                           : 0;
-     }},
-    {"first_corruption_time",
-     [](const Aggregate& a) { return a.first_corruption_time; }},
-    {"last_corruption_time",
-     [](const Aggregate& a) { return a.last_corruption_time; }},
-    // Schema v5: recovery-sublayer scalar means. All zero with the layer
-    // off, and deliberately outside Aggregate::fingerprint().
-    {"recovery_acked_msgs",
-     [](const Aggregate& a) { return a.recovery_acked_msgs; }},
-    {"recovery_dead_msgs",
-     [](const Aggregate& a) { return a.recovery_dead_msgs; }},
-    {"recovery_dup_msgs",
-     [](const Aggregate& a) { return a.recovery_dup_msgs; }},
-};
-
-struct StatComponent {
-  const char* name;
-  double (*get)(const SummaryStats&);
-};
-
-const StatComponent kStatComponents[] = {
-    {"count", [](const SummaryStats& s) { return double(s.count); }},
-    {"mean", [](const SummaryStats& s) { return s.mean; }},
-    {"stddev", [](const SummaryStats& s) { return s.stddev; }},
-    {"min", [](const SummaryStats& s) { return s.min; }},
-    {"max", [](const SummaryStats& s) { return s.max; }},
-    {"p50", [](const SummaryStats& s) { return s.p50; }},
-    {"p90", [](const SummaryStats& s) { return s.p90; }},
-    {"p99", [](const SummaryStats& s) { return s.p99; }},
-    // Schema v3: absent from v1/v2 files, so stats_from_json must tolerate
-    // a missing component (defaults to 0). Deliberately outside
-    // Aggregate::fingerprint(), so adding it changed no golden values.
-    {"p999", [](const SummaryStats& s) { return s.p999; }},
-    {"ci95", [](const SummaryStats& s) { return s.ci95; }},
-};
-
-const SummaryStats* stat_by_name(const Aggregate& a, std::string_view name) {
-  for (const StatField& f : kStatFields) {
-    if (name == f.name) return &(a.*(f.stat));
-  }
-  return nullptr;
+/// Calls f(name, component) for each component of a SummaryStats block, in
+/// serialization order.
+template <class Stats, class F>
+void for_each_component(Stats& s, F&& f) {
+  f("count", s.count);
+  f("mean", s.mean);
+  f("stddev", s.stddev);
+  f("min", s.min);
+  f("max", s.max);
+  f("p50", s.p50);
+  f("p90", s.p90);
+  f("p99", s.p99);
+  f("p999", s.p999);
+  f("ci95", s.ci95);
 }
 
-/// The metrics `Report::diff` compares, each with its worse-direction.
-/// `fingerprint_covered` says whether Aggregate::fingerprint() hashes the
-/// metric: covered metrics are provably equal when fingerprints match and
-/// are skipped then; uncovered ones (the memory account) must be compared
-/// either way.
-struct DiffMetric {
-  const char* name;
-  bool higher_is_worse;
-  bool fingerprint_covered;
+template <class T>
+constexpr bool kIsStats = std::is_same_v<std::decay_t<T>, SummaryStats>;
+
+/// The table row `name` reads and its value on `a`: "<stat>.<component>"
+/// for a SummaryStats metric, the bare row name otherwise.
+struct MetricReading {
+  MetricInfo info;
+  double value = 0;
 };
 
-const DiffMetric kDiffMetrics[] = {
-    {"completion_time.mean", true, true},
-    {"amortized_bits.mean", true, true},
-    {"total_messages.mean", true, true},
-    {"agreement_rate", false, true},
-    {"decided_fraction", false, true},
-    // The per-trial rate (not the summed counter): comparable across
-    // reports with different trial counts; zero tolerance, so any new
-    // safety-violation rate regresses.
-    {"wrong_decisions_per_trial", true, true},
-    // Deliberately outside the fingerprint (exp/aggregate.h) — compared
-    // even on fingerprint-identical points. A zero baseline means the
-    // baseline never accounted memory (v1 file or pointer-path run); the
-    // comparison is skipped then rather than flagging any positive value
-    // as a regression.
-    {"mem_bytes_per_node.mean", true, false},
-    // Also outside the fingerprint. A zero baseline means the baseline ran
-    // without the recovery layer (or a pre-v5 file) — skipped then, like
-    // the memory account.
-    {"recovery_retransmit_bits.mean", true, false},
+std::optional<MetricReading> find_metric(const Aggregate& a,
+                                         std::string_view name) {
+  const std::size_t dot = name.find('.');
+  const std::string_view base = name.substr(0, dot);
+  std::optional<MetricReading> found;
+  for_each_aggregate_metric(a, [&](const MetricInfo& m, const auto& v) {
+    if (m.name != base) return;
+    if constexpr (kIsStats<decltype(v)>) {
+      if (dot == std::string_view::npos) return;
+      for_each_component(v, [&](std::string_view component, const auto& c) {
+        if (name.substr(dot + 1) == component) {
+          found = MetricReading{m, static_cast<double>(c)};
+        }
+      });
+    } else if (dot == std::string_view::npos) {
+      found = MetricReading{m, static_cast<double>(v)};
+    }
+  });
+  return found;
+}
+
+/// find_metric, or a ConfigError listing every name.
+MetricReading read_metric(const Aggregate& a, std::string_view name) {
+  if (const std::optional<MetricReading> found = find_metric(a, name)) {
+    return *found;
+  }
+  std::string stats, scalars;
+  for_each_aggregate_metric(a, [&](const MetricInfo& m, const auto& v) {
+    std::string& list = kIsStats<decltype(v)> ? stats : scalars;
+    if (!list.empty()) list += ", ";
+    list += m.name;
+  });
+  throw ConfigError("report: unknown metric \"" + std::string(name) +
+                    "\" (stats — suffix with .count/.mean/.stddev/.min/.max/"
+                    ".p50/.p90/.p99/.p999/.ci95: " + stats +
+                    "; scalars: " + scalars + ")");
+}
+
+/// The metrics `Report::diff` compares. Each row's `better` column gives
+/// the worse direction, and its `fp` column says whether a fingerprint
+/// match already proves the metric equal; the others (the memory account,
+/// retransmit bits) are compared on every point the baseline recorded them
+/// for. The per-trial wrong-decision rate compares across trial counts, and
+/// with zero tolerance any new safety violation regresses.
+const char* const kDiffMetrics[] = {
+    "completion_time.mean",    "amortized_bits.mean",
+    "total_messages.mean",     "agreement_rate",
+    "decided_fraction",        "wrong_decisions_per_trial",
+    "mem_bytes_per_node.mean", "recovery_retransmit_bits.mean",
 };
+
+/// The point's JSON object of each ReportGroup but kNone.
+const char* const kGroupKeys[] = {"counts", "derived", "stats", "scalars"};
 
 // ---- JSON (de)serialization -------------------------------------------------
 
-json::Value stats_json(const SummaryStats& s) {
-  json::Value out = json::Value::object();
-  for (const StatComponent& c : kStatComponents) out.set(c.name, c.get(s));
-  return out;
+/// Calls f(name, value) for each resolved provenance field, in
+/// serialization order.
+template <class Provenance, class F>
+void for_each_provenance(Provenance& p, F&& f) {
+  f("d", p.d);
+  f("t", p.t);
+  f("gstring_bits", p.gstring_bits);
+  f("node_id_bits", p.node_id_bits);
+  f("answer_budget", p.answer_budget);
 }
 
-SummaryStats stats_from_json(const json::Value& v) {
-  SummaryStats s;
-  s.count = static_cast<std::size_t>(v.at("count").as_uint64());
-  s.mean = v.at("mean").as_double();
-  s.stddev = v.at("stddev").as_double();
-  s.min = v.at("min").as_double();
-  s.max = v.at("max").as_double();
-  s.p50 = v.at("p50").as_double();
-  s.p90 = v.at("p90").as_double();
-  s.p99 = v.at("p99").as_double();
-  // v1/v2 files predate p999: load it as 0, matching what those writers
-  // would have summarized for an untracked quantile.
-  const json::Value* p999 = v.find("p999");
-  s.p999 = p999 != nullptr ? p999->as_double() : 0;
-  s.ci95 = v.at("ci95").as_double();
-  return s;
+/// Calls f(name, value) for each field of a service point's load block.
+template <class Load, class F>
+void for_each_load_field(Load& l, F&& f) {
+  f("wall_seconds", l.wall_seconds);
+  f("instances_per_sec", l.instances_per_sec);
+  f("wall_ms_p50", l.wall_ms_p50);
+  f("wall_ms_p99", l.wall_ms_p99);
+  f("wall_ms_p999", l.wall_ms_p999);
+}
+
+template <class T>
+json::Value metric_json(const T& v) {
+  if constexpr (kIsStats<T>) {
+    json::Value out = json::Value::object();
+    for_each_component(v, [&](const char* name, const auto& c) {
+      out.set(name, c);
+    });
+    return out;
+  } else {
+    return v;
+  }
+}
+
+template <class T>
+void metric_from_json(const json::Value& v, T& out) {
+  if constexpr (kIsStats<T>) {
+    for_each_component(out, [&](const char* name, auto& c) {
+      json::read_into(v.at(name), c);
+    });
+  } else {
+    json::read_into(v, out);
+  }
 }
 
 json::Value point_json(const ReportPoint& rp) {
@@ -253,13 +186,11 @@ json::Value point_json(const ReportPoint& rp) {
   axes.set("corrupt_fraction", rp.point.corrupt_fraction);
   axes.set("attack", rp.point.strategy);
   axes.set("fault", rp.point.fault);
-  // Recovery axis (schema v5), written only when the sweep set it — a
-  // recovery-less report carries the same axes block as a v4 writer's.
+  // The recovery and adaptive axes are written only when the sweep set
+  // them.
   if (!rp.point.recovery.empty()) {
     axes.set("recovery", rp.point.recovery);
   }
-  // Adaptive axes (schema v4), written only when the sweep set them, so a
-  // non-adaptive report carries the same axes block as a v3 writer's.
   if (rp.point.budget >= 0) {
     axes.set("budget", std::uint64_t(rp.point.budget));
   }
@@ -269,51 +200,22 @@ json::Value point_json(const ReportPoint& rp) {
   out.set("axes", std::move(axes));
 
   json::Value resolved = json::Value::object();
-  resolved.set("d", std::uint64_t{rp.provenance.d});
-  resolved.set("t", std::uint64_t{rp.provenance.t});
-  resolved.set("gstring_bits", std::uint64_t{rp.provenance.gstring_bits});
-  resolved.set("node_id_bits", std::uint64_t{rp.provenance.node_id_bits});
-  resolved.set("answer_budget", std::uint64_t{rp.provenance.answer_budget});
+  for_each_provenance(rp.provenance, [&](const char* name, std::size_t v) {
+    resolved.set(name, std::uint64_t{v});
+  });
   out.set("resolved", std::move(resolved));
 
-  json::Value counts = json::Value::object();
-  counts.set("trials", std::uint64_t{a.trials});
-  counts.set("agreements", std::uint64_t{a.agreements});
-  counts.set("engine_incomplete", std::uint64_t{a.engine_incomplete});
-  counts.set("wrong_decisions", a.wrong_decisions);
-  counts.set("stalled_nodes", a.stalled_nodes);
-  counts.set("correct_nodes", a.correct_nodes);
-  counts.set("max_candidate_list", std::uint64_t{a.max_candidate_list});
-  counts.set("missing_gstring", a.missing_gstring);
-  counts.set("max_deferred", std::uint64_t{a.max_deferred});
-  out.set("counts", std::move(counts));
-
-  // Derived convenience fields; ignored (and recomputed) on load.
-  json::Value derived = json::Value::object();
-  derived.set("agreement_rate", a.agreement_rate());
-  derived.set("decided_fraction", a.decided_fraction());
-  out.set("derived", std::move(derived));
-
-  json::Value stats = json::Value::object();
-  for (const StatField& f : kStatFields) stats.set(f.name, stats_json(a.*(f.stat)));
-  out.set("stats", std::move(stats));
-
-  json::Value scalars = json::Value::object();
-  scalars.set("ae_rounds", a.ae_rounds);
-  scalars.set("reduction_time", a.reduction_time);
-  scalars.set("ae_bits", a.ae_bits);
-  scalars.set("reduction_bits", a.reduction_bits);
-  scalars.set("push_bits_per_node", a.push_bits_per_node);
-  scalars.set("push_msgs_per_node", a.push_msgs_per_node);
-  scalars.set("candidate_lists_per_node", a.candidate_lists_per_node);
-  scalars.set("fault_delayed_msgs", a.fault_delayed_msgs);
-  scalars.set("runtime_corruptions", std::uint64_t{a.runtime_corruptions});
-  scalars.set("first_corruption_time", a.first_corruption_time);
-  scalars.set("last_corruption_time", a.last_corruption_time);
-  scalars.set("recovery_acked_msgs", a.recovery_acked_msgs);
-  scalars.set("recovery_dead_msgs", a.recovery_dead_msgs);
-  scalars.set("recovery_dup_msgs", a.recovery_dup_msgs);
-  out.set("scalars", std::move(scalars));
+  // Derived convenience fields are ignored (and recomputed) on load.
+  json::Value groups[std::size(kGroupKeys)];
+  for (json::Value& g : groups) g = json::Value::object();
+  for_each_aggregate_metric(a, [&](const MetricInfo& m, const auto& v) {
+    if (m.group == ReportGroup::kNone) return;
+    groups[static_cast<std::size_t>(m.group)].set(std::string(m.name),
+                                                  metric_json(v));
+  });
+  for (std::size_t g = 0; g < std::size(kGroupKeys); ++g) {
+    out.set(kGroupKeys[g], std::move(groups[g]));
+  }
 
   json::Value causes = json::Value::object();
   for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
@@ -329,26 +231,23 @@ json::Value point_json(const ReportPoint& rp) {
     json::Value entry = json::Value::object();
     entry.set("kind", sim::kind_name(static_cast<sim::MessageKind>(k)));
     entry.set("msgs_mean", a.msgs_by_kind[k]);
-    entry.set("bits", stats_json(a.bits_by_kind[k]));
+    entry.set("bits", metric_json(a.bits_by_kind[k]));
     traffic.push_back(std::move(entry));
   }
   out.set("traffic_by_kind", std::move(traffic));
 
-  // Service-mode wall-clock load (schema v3). Environment-dependent by
+  // Service-mode wall-clock load. Environment-dependent by
   // definition — the one block outside the determinism contract besides
   // meta.git_version: not fingerprinted, not diffed, absent from the CSV.
   if (rp.has_load) {
-    const PointLoad& l = rp.load;
     json::Value load = json::Value::object();
-    load.set("wall_seconds", l.wall_seconds);
-    load.set("instances_per_sec", l.instances_per_sec);
-    load.set("wall_ms_p50", l.wall_ms_p50);
-    load.set("wall_ms_p99", l.wall_ms_p99);
-    load.set("wall_ms_p999", l.wall_ms_p999);
+    for_each_load_field(rp.load, [&](const char* name, double v) {
+      load.set(name, v);
+    });
     out.set("load", std::move(load));
   }
 
-  out.set("fingerprint", hex_u64(a.fingerprint()));
+  out.set("fingerprint", json::hex_u64(a.fingerprint()));
   return out;
 }
 
@@ -361,73 +260,27 @@ ReportPoint point_from_json(const json::Value& v) {
   rp.point.corrupt_fraction = axes.at("corrupt_fraction").as_double();
   rp.point.strategy = axes.at("attack").as_string();
   rp.point.fault = axes.at("fault").as_string();
-  // Absent in pre-v5 files and recovery-less v5 reports: empty = unset.
+  // The optional axes: absent means unset (empty recovery, -1 otherwise).
   const json::Value* recovery = axes.find("recovery");
   rp.point.recovery = recovery != nullptr ? recovery->as_string() : "";
-  // Absent in pre-v4 files and in non-adaptive v4 reports: -1 = unset.
   const json::Value* budget = axes.find("budget");
   rp.point.budget = budget != nullptr ? long(budget->as_uint64()) : -1;
   const json::Value* from = axes.find("adaptive_from");
   rp.point.adaptive_from = from != nullptr ? from->as_double() : -1;
 
   const json::Value& resolved = v.at("resolved");
-  rp.provenance.d = static_cast<std::size_t>(resolved.at("d").as_uint64());
-  rp.provenance.t = static_cast<std::size_t>(resolved.at("t").as_uint64());
-  rp.provenance.gstring_bits =
-      static_cast<std::size_t>(resolved.at("gstring_bits").as_uint64());
-  rp.provenance.node_id_bits =
-      static_cast<std::size_t>(resolved.at("node_id_bits").as_uint64());
-  rp.provenance.answer_budget =
-      static_cast<std::size_t>(resolved.at("answer_budget").as_uint64());
+  for_each_provenance(rp.provenance, [&](const char* name, std::size_t& f) {
+    json::read_into(resolved.at(name), f);
+  });
 
   Aggregate& a = rp.aggregate;
-  const json::Value& counts = v.at("counts");
-  a.trials = static_cast<std::size_t>(counts.at("trials").as_uint64());
-  a.agreements = static_cast<std::size_t>(counts.at("agreements").as_uint64());
-  a.engine_incomplete =
-      static_cast<std::size_t>(counts.at("engine_incomplete").as_uint64());
-  a.wrong_decisions = counts.at("wrong_decisions").as_uint64();
-  a.stalled_nodes = counts.at("stalled_nodes").as_uint64();
-  a.correct_nodes = counts.at("correct_nodes").as_uint64();
-  a.max_candidate_list =
-      static_cast<std::size_t>(counts.at("max_candidate_list").as_uint64());
-  a.missing_gstring = counts.at("missing_gstring").as_uint64();
-  a.max_deferred =
-      static_cast<std::size_t>(counts.at("max_deferred").as_uint64());
-
-  const json::Value& stats = v.at("stats");
-  for (const StatField& f : kStatFields) {
-    // v1 files predate mem_bytes_per_node: a missing stat loads as
-    // all-zero, which is exactly what a v1 writer would have summarized.
-    const json::Value* stat = stats.find(f.name);
-    a.*(f.stat) = stat != nullptr ? stats_from_json(*stat) : SummaryStats{};
-  }
-
-  const json::Value& scalars = v.at("scalars");
-  a.ae_rounds = scalars.at("ae_rounds").as_double();
-  a.reduction_time = scalars.at("reduction_time").as_double();
-  a.ae_bits = scalars.at("ae_bits").as_double();
-  a.reduction_bits = scalars.at("reduction_bits").as_double();
-  a.push_bits_per_node = scalars.at("push_bits_per_node").as_double();
-  a.push_msgs_per_node = scalars.at("push_msgs_per_node").as_double();
-  a.candidate_lists_per_node =
-      scalars.at("candidate_lists_per_node").as_double();
-  a.fault_delayed_msgs = scalars.at("fault_delayed_msgs").as_double();
-  // Pre-v4 files predate the corruption timeline: load as zero, which is
-  // what those (budget-less) runs would have recorded.
-  const json::Value* rc = scalars.find("runtime_corruptions");
-  a.runtime_corruptions = rc != nullptr ? rc->as_uint64() : 0;
-  const json::Value* fct = scalars.find("first_corruption_time");
-  a.first_corruption_time = fct != nullptr ? fct->as_double() : 0;
-  const json::Value* lct = scalars.find("last_corruption_time");
-  a.last_corruption_time = lct != nullptr ? lct->as_double() : 0;
-  // Pre-v5 files predate the recovery sublayer: load as zero.
-  const json::Value* ra = scalars.find("recovery_acked_msgs");
-  a.recovery_acked_msgs = ra != nullptr ? ra->as_double() : 0;
-  const json::Value* rd = scalars.find("recovery_dead_msgs");
-  a.recovery_dead_msgs = rd != nullptr ? rd->as_double() : 0;
-  const json::Value* rdup = scalars.find("recovery_dup_msgs");
-  a.recovery_dup_msgs = rdup != nullptr ? rdup->as_double() : 0;
+  for_each_aggregate_metric(a, [&](const MetricInfo& m, auto&& value) {
+    if (m.group == ReportGroup::kDerived || m.group == ReportGroup::kNone) {
+      return;
+    }
+    const char* group = kGroupKeys[static_cast<std::size_t>(m.group)];
+    metric_from_json(v.at(group).at(m.name), value);
+  });
 
   const json::Value& causes = v.at("drops_by_cause");
   for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
@@ -436,33 +289,27 @@ ReportPoint point_from_json(const json::Value& v) {
             .as_double();
   }
 
-  // Tolerant of files written before a kind was appended (pre-v5 files
-  // predate kAck): missing trailing kinds load as zero, which is exactly
-  // what those runs — which could not have sent them — recorded.
   const auto& traffic = v.at("traffic_by_kind").as_array();
-  FBA_REQUIRE(traffic.size() <= sim::kNumMessageKinds,
-              "report: traffic_by_kind lists unknown message kinds");
+  FBA_REQUIRE(traffic.size() == sim::kNumMessageKinds,
+              "report: traffic_by_kind must list every message kind");
   for (std::size_t k = 0; k < traffic.size(); ++k) {
     const json::Value& entry = traffic[k];
     FBA_REQUIRE(entry.at("kind").as_string() ==
                     sim::kind_name(static_cast<sim::MessageKind>(k)),
                 "report: traffic_by_kind out of kind order");
     a.msgs_by_kind[k] = entry.at("msgs_mean").as_double();
-    a.bits_by_kind[k] = stats_from_json(entry.at("bits"));
+    metric_from_json(entry.at("bits"), a.bits_by_kind[k]);
   }
 
-  const json::Value* load = v.find("load");
-  if (load != nullptr) {
+  if (const json::Value* load = v.find("load")) {
     rp.has_load = true;
-    rp.load.wall_seconds = load->at("wall_seconds").as_double();
-    rp.load.instances_per_sec = load->at("instances_per_sec").as_double();
-    rp.load.wall_ms_p50 = load->at("wall_ms_p50").as_double();
-    rp.load.wall_ms_p99 = load->at("wall_ms_p99").as_double();
-    rp.load.wall_ms_p999 = load->at("wall_ms_p999").as_double();
+    for_each_load_field(rp.load, [&](const char* name, double& f) {
+      f = load->at(name).as_double();
+    });
   }
 
   const std::string stored = v.at("fingerprint").as_string();
-  const std::string recomputed = hex_u64(a.fingerprint());
+  const std::string recomputed = json::hex_u64(a.fingerprint());
   FBA_REQUIRE(stored == recomputed,
               "report: fingerprint mismatch for point \"" +
                   rp.point.label() + "\" (stored " + stored + ", recomputed " +
@@ -602,15 +449,6 @@ std::string csv_escape(const std::string& cell) {
   return out + "\"";
 }
 
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  FBA_REQUIRE(out.good(), "report: cannot open \"" + path + "\" for writing");
-  out.write(content.data(),
-            static_cast<std::streamsize>(content.size()));
-  out.close();
-  FBA_REQUIRE(out.good(), "report: short write to \"" + path + "\"");
-}
-
 }  // namespace
 
 // ---- provenance -------------------------------------------------------------
@@ -630,40 +468,16 @@ PointProvenance point_provenance(const aer::AerConfig& base,
 // ---- metric access ----------------------------------------------------------
 
 double metric_value(const Aggregate& aggregate, std::string_view name) {
-  const std::size_t dot = name.find('.');
-  if (dot != std::string_view::npos) {
-    const SummaryStats* stat = stat_by_name(aggregate, name.substr(0, dot));
-    if (stat != nullptr) {
-      const std::string_view component = name.substr(dot + 1);
-      for (const StatComponent& c : kStatComponents) {
-        if (component == c.name) return c.get(*stat);
-      }
-    }
-  } else {
-    for (const ScalarField& f : kScalarFields) {
-      if (name == f.name) return f.get(aggregate);
-    }
-  }
-  std::string stats, scalars;
-  for (const StatField& f : kStatFields) {
-    if (!stats.empty()) stats += ", ";
-    stats += f.name;
-  }
-  for (const ScalarField& f : kScalarFields) {
-    if (!scalars.empty()) scalars += ", ";
-    scalars += f.name;
-  }
-  throw ConfigError("report: unknown metric \"" + std::string(name) +
-                    "\" (stats — suffix with .count/.mean/.stddev/.min/.max/"
-                    ".p50/.p90/.p99/.p999/.ci95: " + stats +
-                    "; scalars: " + scalars + ")");
+  return read_metric(aggregate, name).value;
 }
 
 double metric_ci(const Aggregate& aggregate, std::string_view name) {
   const std::size_t dot = name.find('.');
   if (dot != std::string_view::npos && name.substr(dot + 1) == "mean") {
-    const SummaryStats* stat = stat_by_name(aggregate, name.substr(0, dot));
-    if (stat != nullptr) return stat->ci95;
+    const std::string ci95 = std::string(name.substr(0, dot)) + ".ci95";
+    if (const std::optional<MetricReading> ci = find_metric(aggregate, ci95)) {
+      return ci->value;
+    }
   }
   if (name == "agreement_rate" || name == "decided_fraction") {
     // Normal-approximation binomial CI with the trial count as the sample
@@ -764,22 +578,19 @@ Report Report::from_json(std::string_view text) {
                   root.at("schema").as_string() == "fba.report",
               "report: not an fba.report document");
   const std::uint64_t version = root.at("schema_version").as_uint64();
-  // Each version is a strict subset of the next (v2 added the
-  // stats.mem_bytes_per_node entry, v3 the p999 component and the optional
-  // load block, v4 the optional adaptive axes and corruption-timeline
-  // scalars), so all of them parse with the same tolerant code path.
-  FBA_REQUIRE(version >= 1 && version <= kReportSchemaVersion,
+  FBA_REQUIRE(version == kReportSchemaVersion,
               "report: schema version " + std::to_string(version) +
-                  " unsupported (this build reads versions 1-" +
+                  " unsupported (this build reads v" +
                   std::to_string(kReportSchemaVersion) +
-                  "; see docs/output-schema.md)");
+                  " only; regenerate the file with the emitting tool, see"
+                  " docs/output-schema.md)");
 
   Report out;
   const json::Value& meta = root.at("meta");
   out.meta_.tool = meta.at("tool").as_string();
   out.meta_.figure = meta.at("figure").as_string();
   out.meta_.title = meta.at("title").as_string();
-  out.meta_.base_seed = parse_u64(meta.at("base_seed").as_string(), 10);
+  out.meta_.base_seed = json::parse_u64(meta.at("base_seed").as_string(), 10);
   out.meta_.trials = static_cast<std::size_t>(meta.at("trials").as_uint64());
   out.meta_.scale = meta.at("scale").as_string();
   out.meta_.x_axis = meta.at("x_axis").as_string();
@@ -797,12 +608,9 @@ Report Report::from_json(std::string_view text) {
 }
 
 Report Report::from_json_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FBA_REQUIRE(in.good(), "report: cannot read \"" + path + "\"");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const std::string text = json::read_file(path);
   try {
-    return from_json(buffer.str());
+    return from_json(text);
   } catch (const ConfigError& e) {
     throw ConfigError(path + ": " + e.what());
   }
@@ -811,109 +619,82 @@ Report Report::from_json_file(const std::string& path) {
 // ---- CSV --------------------------------------------------------------------
 
 std::string Report::to_csv() const {
-  std::string out;
-  // Header: identity, axes, provenance, counts, then the stat columns and
-  // per-kind traffic. One row per point, stable column order (schema v5).
+  // One row per point, stable column order: identity, axes, provenance,
+  // then the table metrics (counts and derived, the fingerprint, stats
+  // component by component, scalars), per-cause drops and per-kind traffic.
   // The per-point load block is JSON-only: wall-clock cells would make the
   // CSV environment-dependent. Unset adaptive axes serialize as -1, an
   // unset recovery axis as the empty cell.
-  out += "figure,series,label,index,n,model,corrupt_fraction,attack,fault"
-         ",recovery,budget,adaptive_from"
-         ",d,t,gstring_bits,node_id_bits,answer_budget"
-         ",trials,agreements,agreement_rate,decided_fraction"
-         ",engine_incomplete,wrong_decisions,stalled_nodes,correct_nodes"
-         ",max_candidate_list,missing_gstring,max_deferred,fingerprint";
-  for (const StatField& f : kStatFields) {
-    for (const StatComponent& c : kStatComponents) {
-      out += ',';
-      out += f.name;
-      out += '_';
-      out += c.name;
+  using Columns = std::vector<std::pair<std::string, std::string>>;
+  const auto columns = [&](const std::string& series, const ReportPoint& rp) {
+    Columns cols;
+    const auto col = [&cols](std::string name, std::string cell) {
+      cols.emplace_back(std::move(name), std::move(cell));
+    };
+    const GridPoint& p = rp.point;
+    const Aggregate& a = rp.aggregate;
+    col("figure", meta_.figure);
+    col("series", series);
+    col("label", p.label());
+    col("index", dec_u64(p.index));
+    col("n", dec_u64(p.n));
+    col("model", aer::model_name(p.model));
+    col("corrupt_fraction", canonical_num(p.corrupt_fraction));
+    col("attack", p.strategy);
+    col("fault", p.fault);
+    col("recovery", p.recovery);
+    col("budget", std::to_string(p.budget));
+    col("adaptive_from", canonical_num(p.adaptive_from));
+    for_each_provenance(rp.provenance, [&](const char* name, std::size_t v) {
+      col(name, dec_u64(v));
+    });
+    const auto metrics = [&](std::initializer_list<ReportGroup> groups) {
+      for_each_aggregate_metric(a, [&](const MetricInfo& m, const auto& v) {
+        if (std::find(groups.begin(), groups.end(), m.group) == groups.end()) {
+          return;
+        }
+        if constexpr (kIsStats<decltype(v)>) {
+          for_each_component(v, [&](const char* name, const auto& c) {
+            col(std::string(m.name) + '_' + name,
+                canonical_num(static_cast<double>(c)));
+          });
+        } else if constexpr (std::is_integral_v<
+                                 std::decay_t<decltype(v)>>) {
+          col(std::string(m.name), dec_u64(v));
+        } else {
+          col(std::string(m.name), canonical_num(v));
+        }
+      });
+    };
+    metrics({ReportGroup::kCounts, ReportGroup::kDerived});
+    col("fingerprint", json::hex_u64(a.fingerprint()));
+    metrics({ReportGroup::kStats});
+    metrics({ReportGroup::kScalars});
+    for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
+      col(std::string("drops_") +
+              sim::fault_cause_name(static_cast<sim::FaultCause>(c)),
+          canonical_num(a.drops_by_cause[c]));
     }
-  }
-  out += ",ae_rounds,reduction_time,ae_bits,reduction_bits"
-         ",push_bits_per_node,push_msgs_per_node,candidate_lists_per_node"
-         ",fault_delayed_msgs"
-         ",runtime_corruptions,first_corruption_time,last_corruption_time"
-         ",recovery_acked_msgs,recovery_dead_msgs,recovery_dup_msgs";
-  for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
-    out += ",drops_";
-    out += sim::fault_cause_name(static_cast<sim::FaultCause>(c));
-  }
-  for (std::size_t k = 0; k < sim::kNumMessageKinds; ++k) {
-    const char* kind = sim::kind_name(static_cast<sim::MessageKind>(k));
-    out += ",msgs_";
-    out += kind;
-    out += ",bits_";
-    out += kind;
-    out += "_mean";
-  }
-  out += '\n';
+    for (std::size_t k = 0; k < sim::kNumMessageKinds; ++k) {
+      const std::string kind = sim::kind_name(static_cast<sim::MessageKind>(k));
+      col("msgs_" + kind, canonical_num(a.msgs_by_kind[k]));
+      col("bits_" + kind + "_mean", canonical_num(a.bits_by_kind[k].mean));
+    }
+    return cols;
+  };
+  const auto line = [](const Columns& cols, bool header) {
+    std::string out;
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      if (i > 0) out += ',';
+      out += csv_escape(header ? cols[i].first : cols[i].second);
+    }
+    return out + '\n';
+  };
 
+  std::string out = line(columns("", ReportPoint{}), /*header=*/true);
   for (const ReportSeries& s : series_) {
     for (const ReportPoint& rp : s.points) {
-      const Aggregate& a = rp.aggregate;
-      std::vector<std::string> cells = {
-          meta_.figure,
-          s.name,
-          rp.point.label(),
-          dec_u64(rp.point.index),
-          dec_u64(rp.point.n),
-          aer::model_name(rp.point.model),
-          canonical_num(rp.point.corrupt_fraction),
-          rp.point.strategy,
-          rp.point.fault,
-          rp.point.recovery,
-          std::to_string(rp.point.budget),
-          canonical_num(rp.point.adaptive_from),
-          dec_u64(rp.provenance.d),
-          dec_u64(rp.provenance.t),
-          dec_u64(rp.provenance.gstring_bits),
-          dec_u64(rp.provenance.node_id_bits),
-          dec_u64(rp.provenance.answer_budget),
-          dec_u64(a.trials),
-          dec_u64(a.agreements),
-          canonical_num(a.agreement_rate()),
-          canonical_num(a.decided_fraction()),
-          dec_u64(a.engine_incomplete),
-          dec_u64(a.wrong_decisions),
-          dec_u64(a.stalled_nodes),
-          dec_u64(a.correct_nodes),
-          dec_u64(a.max_candidate_list),
-          dec_u64(a.missing_gstring),
-          dec_u64(a.max_deferred),
-          hex_u64(a.fingerprint()),
-      };
-      for (const StatField& f : kStatFields) {
-        const SummaryStats& stat = a.*(f.stat);
-        for (const StatComponent& c : kStatComponents) {
-          cells.push_back(canonical_num(c.get(stat)));
-        }
-      }
-      for (const double v : {a.ae_rounds, a.reduction_time, a.ae_bits,
-                             a.reduction_bits, a.push_bits_per_node,
-                             a.push_msgs_per_node, a.candidate_lists_per_node,
-                             a.fault_delayed_msgs,
-                             double(a.runtime_corruptions),
-                             a.first_corruption_time,
-                             a.last_corruption_time,
-                             a.recovery_acked_msgs,
-                             a.recovery_dead_msgs,
-                             a.recovery_dup_msgs}) {
-        cells.push_back(canonical_num(v));
-      }
-      for (std::size_t c = 0; c < sim::kNumFaultCauses; ++c) {
-        cells.push_back(canonical_num(a.drops_by_cause[c]));
-      }
-      for (std::size_t k = 0; k < sim::kNumMessageKinds; ++k) {
-        cells.push_back(canonical_num(a.msgs_by_kind[k]));
-        cells.push_back(canonical_num(a.bits_by_kind[k].mean));
-      }
-      for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i > 0) out += ',';
-        out += csv_escape(cells[i]);
-      }
-      out += '\n';
+      out += line(columns(s.name, rp), /*header=*/false);
     }
   }
   return out;
@@ -970,7 +751,7 @@ std::string Report::to_markdown() const {
              pretty_num(a.decided_fraction()) + " | " +
              dec_u64(a.wrong_decisions) + " | " +
              pretty_num(a.amortized_bits.mean) + " | `" +
-             hex_u64(a.fingerprint()) + "` |\n";
+             json::hex_u64(a.fingerprint()) + "` |\n";
     }
     out += '\n';
   }
@@ -1052,7 +833,7 @@ std::string Report::to_gnuplot() const {
 // ---- files ------------------------------------------------------------------
 
 void Report::write_json(const std::string& path) const {
-  write_file(path, to_json());
+  json::write_file(path, to_json());
 }
 
 std::vector<std::string> Report::write_all(const std::string& dir) const {
@@ -1063,13 +844,13 @@ std::vector<std::string> Report::write_all(const std::string& dir) const {
   const std::string stem =
       dir + "/BENCH_" + (meta_.figure.empty() ? "report" : meta_.figure);
   std::vector<std::string> paths;
-  write_file(stem + ".json", to_json());
+  json::write_file(stem + ".json", to_json());
   paths.push_back(stem + ".json");
-  write_file(stem + ".csv", to_csv());
+  json::write_file(stem + ".csv", to_csv());
   paths.push_back(stem + ".csv");
-  write_file(stem + ".md", to_markdown());
+  json::write_file(stem + ".md", to_markdown());
   paths.push_back(stem + ".md");
-  write_file(stem + ".gp", to_gnuplot());
+  json::write_file(stem + ".gp", to_gnuplot());
   paths.push_back(stem + ".gp");
   return paths;
 }
@@ -1112,23 +893,27 @@ DiffResult Report::diff(const Report& baseline) const {
       const bool fingerprints_match = cur_point->aggregate.fingerprint() ==
                                       base_point.aggregate.fingerprint();
       if (fingerprints_match) ++result.points_identical;
-      for (const DiffMetric& m : kDiffMetrics) {
+      for (const char* name : kDiffMetrics) {
+        const MetricReading base = read_metric(base_point.aggregate, name);
         // A fingerprint match proves covered metrics equal; uncovered
         // ones (the memory account) still need an explicit comparison.
-        if (fingerprints_match && m.fingerprint_covered) continue;
+        if (fingerprints_match && base.info.fingerprinted) continue;
         DiffEntry e;
         e.series = base_series.name;
         e.label = label;
-        e.metric = m.name;
-        e.baseline = metric_value(base_point.aggregate, m.name);
-        // No baseline data for an uncovered metric (v1 file, or a run
-        // that never accounted memory): nothing to gate against.
-        if (!m.fingerprint_covered && e.baseline == 0) continue;
-        e.current = metric_value(cur_point->aggregate, m.name);
-        e.tolerance = metric_ci(base_point.aggregate, m.name) +
-                      metric_ci(cur_point->aggregate, m.name);
-        const double worse =
-            m.higher_is_worse ? e.current - e.baseline : e.baseline - e.current;
+        e.metric = name;
+        e.baseline = base.value;
+        // No baseline data for an uncovered metric (a run that never
+        // accounted memory): nothing to gate against.
+        if (!base.info.fingerprinted && e.baseline == 0) continue;
+        e.current = metric_value(cur_point->aggregate, name);
+        e.tolerance = metric_ci(base_point.aggregate, name) +
+                      metric_ci(cur_point->aggregate, name);
+        FBA_ASSERT(base.info.better != Better::kNeither,
+                   "report: a diffed metric needs a direction");
+        const double worse = base.info.better == Better::kLower
+                                 ? e.current - e.baseline
+                                 : e.baseline - e.current;
         if (e.current == e.baseline) {
           e.verdict = DiffEntry::Verdict::kIdentical;
         } else if (worse > e.tolerance) {

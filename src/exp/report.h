@@ -37,17 +37,9 @@
 
 namespace fba::exp {
 
-/// Bumped whenever the JSON layout changes; readers accept the versions
-/// they can parse (docs/output-schema.md tracks the history). v2 added the
-/// mem_bytes_per_node stat; v3 added the p999 stat component and the
-/// optional per-point `load` block (service mode); v4 added the adaptive
-/// axes (budget / adaptive_from, written only when set) and the
-/// corruption-timeline scalars; v5 added the recovery sublayer: the
-/// optional `recovery` axis, the retransmit stats, the ack/dead/duplicate
-/// scalars, and the `ack` traffic kind. Older files still load: missing
-/// stats/components default to zero, a missing load block to "absent",
-/// missing adaptive/recovery axes to "unset", missing trailing traffic
-/// kinds to zero.
+/// Bumped whenever the JSON layout changes. Readers accept this version
+/// only (docs/output-schema.md keeps the history); the metric fields come
+/// from the metric table (exp/metrics.h).
 inline constexpr std::uint64_t kReportSchemaVersion = 5;
 
 /// Quantities the config resolves per point (functions of n and the base
@@ -64,7 +56,7 @@ struct PointProvenance {
 PointProvenance point_provenance(const aer::AerConfig& base,
                                  const GridPoint& point);
 
-/// Wall-clock load figures of a service-mode point (schema v3). By nature
+/// Wall-clock load figures of a service-mode point. By nature
 /// environment-dependent, so this block sits OUTSIDE the determinism
 /// contract: never fingerprinted, never compared by Report::diff, absent
 /// from the CSV — serialized to JSON purely as information for the reader.
@@ -114,21 +106,12 @@ struct ReportMeta {
   std::string git_version;
 };
 
-/// Looks up a metric by name on an aggregate. Names are either a summary
-/// stat field — "completion_time.mean", "amortized_bits.ci95",
-/// "decision_time.p99", ... (stats: completion_time, mean_decision_time,
-/// engine_time, total_messages, amortized_bits, max_sent_bits,
-/// mean_sent_bits, imbalance, decision_time, fault_dropped_msgs,
-/// fault_dropped_bits, mem_bytes_per_node;
-/// fields: count, mean, stddev, min, max, p50, p90,
-/// p99, p999, ci95) — or a scalar: agreement_rate, decided_fraction, trials,
-/// agreements, engine_incomplete, wrong_decisions,
-/// wrong_decisions_per_trial, stalled_nodes,
-/// ae_rounds, reduction_time, ae_bits, reduction_bits, push_bits_per_node,
-/// push_msgs_per_node, candidate_lists_per_node, max_candidate_list,
-/// missing_gstring, max_deferred, fault_delayed_msgs, runtime_corruptions,
-/// runtime_corruptions_per_trial, first_corruption_time,
-/// last_corruption_time. Throws ConfigError on an unknown name.
+/// Looks up a metric by name on an aggregate: "<stat>.<component>" for a
+/// SummaryStats row of the metric table (exp/metrics.h) — "completion_time.
+/// mean", "amortized_bits.ci95", "decision_time.p99", ... with components
+/// count, mean, stddev, min, max, p50, p90, p99, p999, ci95 — or the bare
+/// name of any other row: agreement_rate, wrong_decisions_per_trial,
+/// push_bits_per_node, ... Throws ConfigError on an unknown name.
 double metric_value(const Aggregate& aggregate, std::string_view name);
 
 /// 95%-CI half-width companion of a metric: the stat's ci95 for
@@ -212,16 +195,15 @@ class Report {
   void write_json(const std::string& path) const;
 
   /// Compares this report's points against `baseline` by series name and
-  /// point label: fingerprint-identical points short-circuit the
-  /// fingerprint-covered metrics; otherwise the headline metrics
-  /// (completion_time.mean, amortized_bits.mean, total_messages.mean,
-  /// agreement_rate, decided_fraction, wrong_decisions_per_trial) are
-  /// compared with the summed CI95s as tolerance, each with its own
-  /// worse-direction. mem_bytes_per_node.mean (higher is worse) sits
-  /// outside the fingerprint, so it is compared even when fingerprints
-  /// match — skipped only when the baseline recorded no memory data.
-  /// Missing series/points regress; added ones are reported but pass.
-  /// Meta (including git_version) is never compared.
+  /// point label. The compared metrics are completion_time.mean,
+  /// amortized_bits.mean, total_messages.mean, agreement_rate,
+  /// decided_fraction, wrong_decisions_per_trial, mem_bytes_per_node.mean
+  /// and recovery_retransmit_bits.mean, with the summed CI95s as tolerance
+  /// and each metric table row's direction (exp/metrics.h). A fingerprint
+  /// match skips the rows the fingerprint covers; the others are compared
+  /// anyway, unless the baseline recorded zero (no memory account, no
+  /// recovery layer). Missing series/points regress; added ones are
+  /// reported but pass. Meta (including git_version) is never compared.
   DiffResult diff(const Report& baseline) const;
 
   /// `git describe` captured at configure time ("unknown" outside a git

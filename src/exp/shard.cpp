@@ -1,11 +1,6 @@
 #include "exp/shard.h"
 
-#include <charconv>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
-#include <unordered_set>
 
 #include "support/siphash.h"
 #include "support/types.h"
@@ -13,22 +8,6 @@
 namespace fba::exp {
 
 namespace {
-
-std::string hex_u64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::uint64_t parse_u64(const std::string& text, int radix) {
-  std::uint64_t out = 0;
-  const auto r =
-      std::from_chars(text.data(), text.data() + text.size(), out, radix);
-  FBA_REQUIRE(r.ec == std::errc() && r.ptr == text.data() + text.size(),
-              "shard: malformed integer field \"" + text + "\"");
-  return out;
-}
 
 void hash_u64(std::uint64_t& h, std::uint64_t v) {
   h = siphash_words(SipKey{h, 0x73686172642d3935ull}, {v});
@@ -41,59 +20,6 @@ void hash_double(std::uint64_t& h, double v) {
   hash_u64(h, bits);
 }
 
-/// The doubles of a TrialOutcome in one fixed order — shared by the
-/// fingerprint and both serialization directions so none can drift from
-/// the others. Keep in sync with exp::TrialOutcome (exp/aggregate.h).
-struct DoubleField {
-  const char* name;
-  double TrialOutcome::* field;
-};
-
-constexpr DoubleField kDoubleFields[] = {
-    {"completion_time", &TrialOutcome::completion_time},
-    {"mean_decision_time", &TrialOutcome::mean_decision_time},
-    {"engine_time", &TrialOutcome::engine_time},
-    {"total_messages", &TrialOutcome::total_messages},
-    {"amortized_bits", &TrialOutcome::amortized_bits},
-    {"max_sent_bits", &TrialOutcome::max_sent_bits},
-    {"mean_sent_bits", &TrialOutcome::mean_sent_bits},
-    {"imbalance", &TrialOutcome::imbalance},
-    {"fault_dropped_msgs", &TrialOutcome::fault_dropped_msgs},
-    {"fault_dropped_bits", &TrialOutcome::fault_dropped_bits},
-    {"fault_delayed_msgs", &TrialOutcome::fault_delayed_msgs},
-    {"ae_rounds", &TrialOutcome::ae_rounds},
-    {"reduction_time", &TrialOutcome::reduction_time},
-    {"ae_bits", &TrialOutcome::ae_bits},
-    {"reduction_bits", &TrialOutcome::reduction_bits},
-    {"push_bits_per_node", &TrialOutcome::push_bits_per_node},
-    {"push_msgs_per_node", &TrialOutcome::push_msgs_per_node},
-    {"candidate_lists_per_node", &TrialOutcome::candidate_lists_per_node},
-    {"mem_bytes_per_node", &TrialOutcome::mem_bytes_per_node},
-    {"runtime_corruptions", &TrialOutcome::runtime_corruptions},
-    {"first_corruption_time", &TrialOutcome::first_corruption_time},
-    {"last_corruption_time", &TrialOutcome::last_corruption_time},
-    {"recovery_retransmit_msgs", &TrialOutcome::recovery_retransmit_msgs},
-    {"recovery_retransmit_bits", &TrialOutcome::recovery_retransmit_bits},
-    {"recovery_acked_msgs", &TrialOutcome::recovery_acked_msgs},
-    {"recovery_dead_msgs", &TrialOutcome::recovery_dead_msgs},
-    {"recovery_dup_msgs", &TrialOutcome::recovery_dup_msgs},
-};
-
-struct CountField {
-  const char* name;
-  std::size_t TrialOutcome::* field;
-};
-
-constexpr CountField kCountFields[] = {
-    {"correct", &TrialOutcome::correct},
-    {"decided", &TrialOutcome::decided},
-    {"wrong_decisions", &TrialOutcome::wrong_decisions},
-    {"knowledgeable", &TrialOutcome::knowledgeable},
-    {"max_candidate_list", &TrialOutcome::max_candidate_list},
-    {"missing_gstring", &TrialOutcome::missing_gstring},
-    {"max_deferred", &TrialOutcome::max_deferred},
-};
-
 json::Value doubles_array(const double* values, std::size_t count) {
   json::Value out = json::Value::array();
   for (std::size_t i = 0; i < count; ++i) out.push_back(values[i]);
@@ -102,20 +28,9 @@ json::Value doubles_array(const double* values, std::size_t count) {
 
 void doubles_from_array(const json::Value& v, double* values,
                         std::size_t count) {
-  // Tolerant like report.cpp's traffic load: an older shard written before
-  // a trailing message kind existed lists fewer entries; missing tails stay
-  // zero. More entries than this build knows is a real mismatch.
   const auto& arr = v.as_array();
-  FBA_REQUIRE(arr.size() <= count, "shard: outcome array length mismatch");
-  for (std::size_t i = 0; i < arr.size(); ++i) values[i] = arr[i].as_double();
-}
-
-void write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  FBA_REQUIRE(out.good(), "shard: cannot open \"" + path + "\" for writing");
-  out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out.close();
-  FBA_REQUIRE(out.good(), "shard: write to \"" + path + "\" failed");
+  FBA_REQUIRE(arr.size() == count, "shard: outcome array length mismatch");
+  for (std::size_t i = 0; i < count; ++i) values[i] = arr[i].as_double();
 }
 
 json::Value cell_to_json(const ShardCell& cell) {
@@ -153,7 +68,7 @@ void check_cells_fingerprint(const json::Value& holder,
                              const std::vector<ShardCell>& cells,
                              const char* what) {
   const std::string stored = holder.at("fingerprint").as_string();
-  const std::string recomputed = hex_u64(cells_fingerprint(cells));
+  const std::string recomputed = json::hex_u64(cells_fingerprint(cells));
   FBA_REQUIRE(stored == recomputed,
               std::string("shard: ") + what + " fingerprint mismatch (stored " +
                   stored + ", recomputed " + recomputed +
@@ -163,14 +78,32 @@ void check_cells_fingerprint(const json::Value& holder,
 }  // namespace
 
 std::uint64_t outcome_fingerprint(const TrialOutcome& o) {
+  // Pinned order: the run digests aer_adversary_test pins hash through
+  // it. The metric table follows the report's columns, which order these
+  // fields differently, so the list is spelled out here; shard_test checks
+  // that it covers every outcome field.
   std::uint64_t h = 0x666261207368640aull;
   hash_u64(h, o.seed);
-  for (const CountField& f : kCountFields) {
-    hash_u64(h, static_cast<std::uint64_t>(o.*(f.field)));
+  for (const std::size_t v :
+       {o.correct, o.decided, o.wrong_decisions, o.knowledgeable,
+        o.max_candidate_list, o.missing_gstring, o.max_deferred}) {
+    hash_u64(h, v);
   }
   hash_u64(h, o.agreement ? 1 : 0);
   hash_u64(h, o.engine_completed ? 1 : 0);
-  for (const DoubleField& f : kDoubleFields) hash_double(h, o.*(f.field));
+  for (const double v :
+       {o.completion_time, o.mean_decision_time, o.engine_time,
+        o.total_messages, o.amortized_bits, o.max_sent_bits,
+        o.mean_sent_bits, o.imbalance, o.fault_dropped_msgs,
+        o.fault_dropped_bits, o.fault_delayed_msgs, o.ae_rounds,
+        o.reduction_time, o.ae_bits, o.reduction_bits, o.push_bits_per_node,
+        o.push_msgs_per_node, o.candidate_lists_per_node,
+        o.mem_bytes_per_node, o.runtime_corruptions, o.first_corruption_time,
+        o.last_corruption_time, o.recovery_retransmit_msgs,
+        o.recovery_retransmit_bits, o.recovery_acked_msgs,
+        o.recovery_dead_msgs, o.recovery_dup_msgs}) {
+    hash_double(h, v);
+  }
   for (double v : o.bits_by_kind) hash_double(h, v);
   for (double v : o.msgs_by_kind) hash_double(h, v);
   for (double v : o.drops_by_cause) hash_double(h, v);
@@ -182,12 +115,9 @@ std::uint64_t outcome_fingerprint(const TrialOutcome& o) {
 json::Value outcome_to_json(const TrialOutcome& o) {
   json::Value out = json::Value::object();
   out.set("seed", std::to_string(o.seed));  // full 64 bits, as in reports
-  for (const CountField& f : kCountFields) {
-    out.set(f.name, std::uint64_t{o.*(f.field)});
-  }
-  out.set("agreement", o.agreement);
-  out.set("engine_completed", o.engine_completed);
-  for (const DoubleField& f : kDoubleFields) out.set(f.name, o.*(f.field));
+  for_each_outcome_metric(o, [&](std::string_view name, const auto& v) {
+    out.set(std::string(name), v);
+  });
   out.set("bits_by_kind",
           doubles_array(o.bits_by_kind.data(), o.bits_by_kind.size()));
   out.set("msgs_by_kind",
@@ -201,19 +131,10 @@ json::Value outcome_to_json(const TrialOutcome& o) {
 
 TrialOutcome outcome_from_json(const json::Value& v) {
   TrialOutcome o;
-  o.seed = parse_u64(v.at("seed").as_string(), 10);
-  for (const CountField& f : kCountFields) {
-    o.*(f.field) = static_cast<std::size_t>(v.at(f.name).as_uint64());
-  }
-  o.agreement = v.at("agreement").as_bool();
-  o.engine_completed = v.at("engine_completed").as_bool();
-  for (const DoubleField& f : kDoubleFields) {
-    // Missing fields (pre-v2 shard files lack the recovery_* counters)
-    // default to zero, mirroring the report loader's tolerance.
-    if (const json::Value* field = v.find(f.name)) {
-      o.*(f.field) = field->as_double();
-    }
-  }
+  o.seed = json::parse_u64(v.at("seed").as_string(), 10);
+  for_each_outcome_metric(o, [&](std::string_view name, auto& field) {
+    json::read_into(v.at(name), field);
+  });
   doubles_from_array(v.at("bits_by_kind"), o.bits_by_kind.data(),
                      o.bits_by_kind.size());
   doubles_from_array(v.at("msgs_by_kind"), o.msgs_by_kind.data(),
@@ -246,7 +167,7 @@ std::string ShardPayload::to_json() const {
   timing.set("run_seconds", run_seconds);
   timing.set("trials", std::uint64_t{timed_trials});
   out.set("timing", std::move(timing));
-  out.set("fingerprint", hex_u64(cells_fingerprint(cells)));
+  out.set("fingerprint", json::hex_u64(cells_fingerprint(cells)));
   return out.dump();
 }
 
@@ -306,9 +227,9 @@ std::string ShardDoc::to_json() const {
     json::Value sv = json::Value::object();
     sv.set("points", std::uint64_t{s.points});
     sv.set("trials", std::uint64_t{s.trials});
-    sv.set("grid_fingerprint", hex_u64(s.grid_fingerprint));
+    sv.set("grid_fingerprint", json::hex_u64(s.grid_fingerprint));
     sv.set("cells", cells_to_json(s.cells));
-    sv.set("fingerprint", hex_u64(cells_fingerprint(s.cells)));
+    sv.set("fingerprint", json::hex_u64(cells_fingerprint(s.cells)));
     sweeps_json.push_back(std::move(sv));
   }
   root.set("sweeps", std::move(sweeps_json));
@@ -316,7 +237,7 @@ std::string ShardDoc::to_json() const {
 }
 
 void ShardDoc::write(const std::string& path) const {
-  write_file(path, to_json());
+  json::write_file(path, to_json());
 }
 
 ShardDoc ShardDoc::from_json(std::string_view text) {
@@ -324,10 +245,10 @@ ShardDoc ShardDoc::from_json(std::string_view text) {
   FBA_REQUIRE(root.at("schema").as_string() == "fba.shard",
               "shard: not an fba.shard document");
   const std::uint64_t version = root.at("schema_version").as_uint64();
-  FBA_REQUIRE(version >= 1 && version <= kShardSchemaVersion,
-              "shard: unsupported schema version " + std::to_string(version) +
-                  " (this build reads 1.." +
-                  std::to_string(kShardSchemaVersion) + ")");
+  FBA_REQUIRE(version == kShardSchemaVersion,
+              "shard: schema version " + std::to_string(version) +
+                  " unsupported (this build reads v" +
+                  std::to_string(kShardSchemaVersion) + " only)");
 
   ShardDoc doc;
   const json::Value& m = root.at("meta");
@@ -336,11 +257,8 @@ ShardDoc ShardDoc::from_json(std::string_view text) {
   doc.meta.scale = m.at("scale").as_string();
   doc.meta.attack = m.at("attack").as_string();
   doc.meta.fault = m.at("fault").as_string();
-  // Tolerant: pre-recovery shard files carry no recovery key -> "off".
-  if (const json::Value* rec = m.find("recovery")) {
-    doc.meta.recovery = rec->as_string();
-  }
-  doc.meta.base_seed = parse_u64(m.at("base_seed").as_string(), 10);
+  doc.meta.recovery = m.at("recovery").as_string();
+  doc.meta.base_seed = json::parse_u64(m.at("base_seed").as_string(), 10);
   doc.meta.trials = static_cast<std::size_t>(m.at("trials").as_uint64());
   doc.meta.shard_index =
       static_cast<std::size_t>(m.at("shard_index").as_uint64());
@@ -352,7 +270,7 @@ ShardDoc ShardDoc::from_json(std::string_view text) {
     sweep.points = static_cast<std::size_t>(sv.at("points").as_uint64());
     sweep.trials = static_cast<std::size_t>(sv.at("trials").as_uint64());
     sweep.grid_fingerprint =
-        parse_u64(sv.at("grid_fingerprint").as_string(), 16);
+        json::parse_u64(sv.at("grid_fingerprint").as_string(), 16);
     sweep.cells = cells_from_json(sv.at("cells"));
     check_cells_fingerprint(sv, sweep.cells, "sweep");
     doc.sweeps.push_back(std::move(sweep));
@@ -361,12 +279,9 @@ ShardDoc ShardDoc::from_json(std::string_view text) {
 }
 
 ShardDoc ShardDoc::from_json_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  FBA_REQUIRE(in.good(), "shard: cannot read \"" + path + "\"");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
+  const std::string text = json::read_file(path);
   try {
-    return from_json(buffer.str());
+    return from_json(text);
   } catch (const ConfigError& e) {
     throw ConfigError(path + ": " + e.what());
   }

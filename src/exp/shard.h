@@ -33,9 +33,9 @@ namespace fba::exp {
 
 /// Bumped whenever the shard JSON layout changes (independent of the
 /// fba.report schema — shards are an exchange format between runs of the
-/// same build, not a long-lived artifact). v2 added the meta recovery
-/// preset, the outcome recovery_* counters, and the ack traffic kind
-/// (missing fields/trailing kinds load as zero, recovery as "off").
+/// same build, not a long-lived artifact). Readers accept this version
+/// only. v2 added the meta recovery preset, the outcome recovery_*
+/// counters, and the ack traffic kind.
 inline constexpr std::uint64_t kShardSchemaVersion = 2;
 
 /// Order-sensitive hash of every TrialOutcome field (decision_times

@@ -26,9 +26,9 @@ struct SummaryStats {
   double p50 = 0;
   double p90 = 0;
   double p99 = 0;
-  /// Deep-tail quantile for service-mode latency streams (schema v3).
-  /// Deliberately OUTSIDE Aggregate::fingerprint()'s hash_stats so the
-  /// pinned golden fingerprints predate it and stay valid.
+  /// Deep-tail quantile for service-mode latency streams.
+  /// Aggregate::fingerprint() does not hash it: the pinned golden
+  /// fingerprints predate it.
   double p999 = 0;
   /// Half-width of the normal-approximation 95% CI on the mean
   /// (1.96 * stddev / sqrt(count)); 0 for samples of size < 2.

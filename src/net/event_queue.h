@@ -59,8 +59,12 @@ class EventQueue {
   /// Priority classes supported (lanes per bucket in bucket mode).
   static constexpr std::uint32_t kNumPriorities = 3;
 
-  /// LaneEntries per bucket-mode chunk (144 KiB of storage per chunk).
-  static constexpr std::size_t kChunkEntries = 2048;
+  /// LaneEntries per bucket-mode chunk (126 KiB of storage per chunk). A
+  /// chunk stays under glibc's default 128 KiB mmap threshold (asserted at
+  /// LaneChunks): a larger one may be served by a fresh mmap or from the
+  /// heap, depending on when glibc's dynamic threshold moves, which made
+  /// the set-up time of a queue's first run bimodal.
+  static constexpr std::size_t kChunkEntries = 1792;
 
   /// Calendar mode: slots per time unit. A power of two, so at *
   /// kSlotsPerUnit is exact and its floor is monotone in `at`. 256 keeps a
@@ -316,6 +320,9 @@ class EventQueue {
     Chunk* free_ = nullptr;  ///< intrusive LIFO free list.
   };
   using LaneChunks = ChunkPool<LaneEntry, kChunkEntries>;
+  static_assert(sizeof(LaneChunks::Chunk) < 128 * 1024,
+                "a bucket-mode chunk must stay under glibc's default mmap "
+                "threshold (see kChunkEntries)");
   using LaneChain = LaneChunks::Chain;
   using SlotChunks = ChunkPool<Entry, kSlotChunkEntries>;
   using EntryChain = SlotChunks::Chain;

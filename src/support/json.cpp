@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "support/types.h"
 
@@ -400,6 +402,39 @@ std::string Value::dump() const {
 }
 
 Value Value::parse(std::string_view text) { return Parser(text).run(); }
+
+std::string hex_u64(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::uint64_t parse_u64(const std::string& text, int radix) {
+  std::uint64_t out = 0;
+  const auto r =
+      std::from_chars(text.data(), text.data() + text.size(), out, radix);
+  if (r.ec != std::errc() || r.ptr != text.data() + text.size()) {
+    fail("json: malformed integer field \"" + text + "\"");
+  }
+  return out;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) fail("json: cannot read \"" + path + "\"");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void write_file(const std::string& path, const std::string& content) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out.good()) fail("json: cannot open \"" + path + "\" for writing");
+  out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  out.close();
+  if (!out.good()) fail("json: short write to \"" + path + "\"");
+}
 
 std::string number_to_string(double v) {
   std::string out;

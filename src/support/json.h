@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace fba::json {
@@ -96,6 +97,31 @@ class Value {
   Array array_;
   Object object_;
 };
+
+/// Reads a bool, an unsigned integer or a double from `v` into `out` with
+/// the matching typed accessor.
+template <class T>
+void read_into(const Value& v, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = v.as_bool();
+  } else if constexpr (std::is_floating_point_v<T>) {
+    out = v.as_double();
+  } else {
+    out = static_cast<T>(v.as_uint64());
+  }
+}
+
+/// 64-bit integers beyond the double-exact range ride as strings: 16
+/// lower-case hex digits (fingerprints) or decimal (seeds). parse_u64
+/// inverts both (radix 16 or 10); it throws ConfigError unless all of
+/// `text` is one integer.
+std::string hex_u64(std::uint64_t v);
+std::uint64_t parse_u64(const std::string& text, int radix);
+
+/// Reads or writes a whole document file; throw ConfigError naming the
+/// path on failure.
+std::string read_file(const std::string& path);
+void write_file(const std::string& path, const std::string& content);
 
 /// The canonical number form on its own (what dump() emits for a number
 /// value): shortest round-trip via std::to_chars, integer form within the

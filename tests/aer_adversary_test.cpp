@@ -3,6 +3,9 @@
 // at the default operating point.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
 #include "adversary/strategies.h"
 #include "aer/messages.h"
 #include "aer/protocol.h"
@@ -370,6 +373,92 @@ TEST(ForgedFw1Test, RelaysRejectForgedCopiesOnBothActors) {
       EXPECT_GT(pointer_counts.w_outside_j, 0u) << seed;
       EXPECT_GT(pointer_counts.relay_outside, 0u) << seed;
       EXPECT_GT(pointer_counts.sender_outside, 0u) << seed;
+      EXPECT_EQ(pointer.decided_gstring, pointer.decided_count) << seed;
+      digest = (digest ^ pointer_digest) * 0x100000001b3ull;
+    }
+    EXPECT_EQ(digest, want) << model_name(model) << ": 0x" << std::hex
+                            << digest;
+  }
+}
+
+// ----- Algorithm 2/3 credit dedupes against repeated valid copies -------------------------
+
+/// Corrupt nodes play forwarder and relay by the book, but send every copy
+/// d times: a corrupt forwarder in H(s, x) repeats each Fw1 it owes for a
+/// Pull, and a corrupt relay repeats its Fw2 to w on the first Fw1 it gets
+/// for (x, s, w). Every copy passes the receiver's membership checks, so
+/// only the once-per-member credit of a relay's Fw1 tally and a
+/// responder's Fw2 tally keeps the repeats from counting d times.
+class RepeatedRelayStrategy final : public adv::Strategy {
+ public:
+  explicit RepeatedRelayStrategy(const AerWorldView& view)
+      : shared_(*view.shared), repeats_(view.shared->config.resolved_d()) {}
+
+  void on_deliver_to_corrupt(adv::AdvContext& ctx,
+                             const sim::Envelope& env) override {
+    const sim::Message& m = env.msg;
+    if (m.kind == sim::MessageKind::kPull) {
+      const NodeId x = env.src;
+      if (!shared_.pull_quorum(m.s, x).contains(env.dst)) return;
+      const sampler::QuorumView j = shared_.poll_list(x, m.r);
+      for (std::uint32_t i = 0; i < j.distinct_count; ++i) {
+        const NodeId w = j.distinct[i];
+        const sampler::QuorumView h_w = shared_.pull_quorum(m.s, w);
+        for (std::uint32_t k = 0; k < h_w.distinct_count; ++k) {
+          repeat(ctx, env.dst, h_w.distinct[k], fw1_msg(x, m.s, m.r, w));
+        }
+      }
+    } else if (m.kind == sim::MessageKind::kFw1) {
+      // (relay, x, w, s) fire once, as a correct relay's tally does.
+      const auto key = std::make_tuple(env.dst, m.a, m.b, m.s);
+      if (!fired_.insert(key).second) return;
+      repeat(ctx, env.dst, m.b, fw2_msg(m.a, m.s, m.r));
+    }
+  }
+
+ private:
+  void repeat(adv::AdvContext& ctx, NodeId from, NodeId to,
+              const sim::Message& msg) const {
+    for (std::size_t i = 0; i < repeats_; ++i) ctx.send_from(from, to, msg);
+  }
+
+  const AerShared& shared_;
+  std::size_t repeats_;
+  std::set<std::tuple<NodeId, NodeId, NodeId, StringId>> fired_;
+};
+
+TEST(RepeatedRelayTest, RepeatedFw1AndFw2CopiesCountOncePerMember) {
+  // Pinned per model over seeds 1-6 at n = 64, t = 0.15 n, 80% knowledgeable
+  // nodes: the unknowledgeable forwarders and relays keep correct tallies
+  // short of a majority for a while, so a repeat credited more than once
+  // fires a relay or a responder early and moves the run.
+  const std::vector<std::pair<Model, std::uint64_t>> pinned = {
+      {Model::kSyncRushing, 0x686df7402ba6ebd5ull},
+      {Model::kSyncNonRushing, 0x686df7402ba6ebd5ull},
+      {Model::kAsync, 0x9fd606ddec4f8612ull},
+  };
+  const StrategyFactory repeat = [](const AerWorldView& view) {
+    return std::make_unique<RepeatedRelayStrategy>(view);
+  };
+  for (const auto& [model, want] : pinned) {
+    std::uint64_t digest = 0xcbf29ce484222325ull;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      AerConfig cfg;
+      cfg.n = 64;
+      cfg.seed = seed;
+      cfg.model = model;
+      cfg.corrupt_fraction = 0.15;
+      cfg.knowledgeable_fraction = 0.8;
+      cfg.max_rounds = 80;
+      AerWorld pointer_world = build_aer_world(cfg);
+      const AerReport pointer = run_aer_world(pointer_world, repeat);
+      AerWorld soa_world = build_aer_world(cfg);
+      SoaArena arena;
+      const AerReport soa = run_aer_world_soa(soa_world, arena, {}, repeat);
+
+      const std::uint64_t pointer_digest = run_digest(pointer, pointer_world);
+      EXPECT_EQ(pointer_digest, run_digest(soa, soa_world))
+          << model_name(model) << " seed " << seed;
       EXPECT_EQ(pointer.decided_gstring, pointer.decided_count) << seed;
       digest = (digest ^ pointer_digest) * 0x100000001b3ull;
     }

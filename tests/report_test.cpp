@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "fba.h"
@@ -109,59 +110,144 @@ TEST(ReportTest, SchemaVersionGuardRejectsOtherVersions) {
   }
 }
 
-// Backward compatibility: a v1 document — no stats.mem_bytes_per_node
-// entry (v2) and no p999 components (v3) — still loads, with the missing
-// stat defaulting to all-zero and p999 to 0 (docs/output-schema.md
-// version history).
-TEST(ReportTest, SchemaV1DocumentsStillParse) {
-  std::string doc = small_report(1).to_json();
-  const std::string version_needle = "\"schema_version\": 5";
-  const std::size_t version_pos = doc.find(version_needle);
-  ASSERT_NE(version_pos, std::string::npos);
-  doc.replace(version_pos, version_needle.size(), "\"schema_version\": 1");
-  // Strip every p999 component, which only v3 writers emit. It sits
-  // between p99 and ci95, so erase through its trailing comma.
-  const std::string p999_needle = "\"p999\": ";
-  std::size_t p999_pos;
-  while ((p999_pos = doc.find(p999_needle)) != std::string::npos) {
-    std::size_t comma = doc.find(',', p999_pos);
-    ASSERT_NE(comma, std::string::npos);
-    std::size_t start = p999_pos;
-    while (start > 0 && (doc[start - 1] == '\n' || doc[start - 1] == ' ')) {
-      --start;
-    }
-    doc.erase(start, comma + 1 - start);
-  }
-  // Strip every mem_bytes_per_node stats object, as a v1 writer would
-  // never have emitted one.
-  const std::string stat_needle = "\"mem_bytes_per_node\": {";
-  std::size_t pos;
-  while ((pos = doc.find(stat_needle)) != std::string::npos) {
-    // The stat is the last entry of "stats": erase back through the
-    // preceding comma so the object stays well-formed.
-    std::size_t start = pos;
-    while (start > 0 && (doc[start - 1] == '\n' || doc[start - 1] == ' ')) {
-      --start;
-    }
-    ASSERT_GT(start, 0u);
-    ASSERT_EQ(doc[start - 1], ',');
-    --start;
-    const std::size_t end = doc.find('}', pos);  // flat object, no nesting
-    ASSERT_NE(end, std::string::npos);
-    doc.erase(start, end + 1 - start);
-  }
-  const exp::Report parsed = exp::Report::from_json(doc);
-  EXPECT_EQ(parsed.total_points(), 2u);
-  for (const exp::ReportSeries& s : parsed.series()) {
-    for (const exp::ReportPoint& rp : s.points) {
-      EXPECT_EQ(rp.aggregate.mem_bytes_per_node.count, 0u);
-      EXPECT_EQ(rp.aggregate.mem_bytes_per_node.mean, 0.0);
+// v5 is the only layout a reader accepts: an older document fails with one
+// ConfigError line that names the version this build reads.
+TEST(ReportTest, PreV5DocumentsAreRefused) {
+  const std::string doc = small_report(1).to_json();
+  const std::string needle = "\"schema_version\": 5";
+  const std::size_t pos = doc.find(needle);
+  ASSERT_NE(pos, std::string::npos);
+  for (int version = 1; version <= 4; ++version) {
+    std::string old = doc;
+    old.replace(pos, needle.size(),
+                "\"schema_version\": " + std::to_string(version));
+    try {
+      exp::Report::from_json(old);
+      FAIL() << "expected a ConfigError for schema v" << version;
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("reads v5 only"), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
     }
   }
-  // And a v1 baseline never gates the memory metric: diff against a
-  // current (v2) report with memory data stays clean.
-  const exp::Report current = exp::Report::from_json(small_report(1).to_json());
-  EXPECT_TRUE(current.diff(parsed).ok());
+}
+
+// An Aggregate with a distinct non-zero value in every field the metric
+// table stores, every per-kind stat and every per-cause mean, so a field a
+// layer drops shows as a zero. Doubles get a fractional part.
+exp::Aggregate every_field_aggregate() {
+  exp::Aggregate a;
+  double next = 1;
+  const auto fill = [&next](exp::SummaryStats& s) {
+    s.count = static_cast<std::size_t>(next++);
+    for (double* c : {&s.mean, &s.stddev, &s.min, &s.max, &s.p50, &s.p90,
+                      &s.p99, &s.p999, &s.ci95}) {
+      *c = next++ + 0.25;
+    }
+  };
+  exp::for_each_aggregate_metric(a, [&](const exp::MetricInfo&, auto&& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (!std::is_lvalue_reference_v<decltype(v)>) {
+      return;  // a DERIVED row: computed, not stored
+    } else if constexpr (std::is_same_v<T, exp::SummaryStats>) {
+      fill(v);
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = next++ + 0.5;
+    } else {
+      v = static_cast<T>(next++);
+    }
+  });
+  for (exp::SummaryStats& s : a.bits_by_kind) fill(s);
+  for (double& m : a.msgs_by_kind) m = next++ + 0.5;
+  for (double& d : a.drops_by_cause) d = next++ + 0.5;
+  return a;
+}
+
+// Every stored number of `a`, in table order, then the arrays.
+std::vector<double> stored_values(const exp::Aggregate& a) {
+  std::vector<double> out;
+  const auto add = [&out](const exp::SummaryStats& s) {
+    out.push_back(double(s.count));
+    for (double c : {s.mean, s.stddev, s.min, s.max, s.p50, s.p90, s.p99,
+                     s.p999, s.ci95}) {
+      out.push_back(c);
+    }
+  };
+  exp::for_each_aggregate_metric(a, [&](const exp::MetricInfo&, auto&& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (!std::is_lvalue_reference_v<decltype(v)>) {
+      return;
+    } else if constexpr (std::is_same_v<T, exp::SummaryStats>) {
+      add(v);
+    } else {
+      out.push_back(static_cast<double>(v));
+    }
+  });
+  for (const exp::SummaryStats& s : a.bits_by_kind) add(s);
+  out.insert(out.end(), a.msgs_by_kind.begin(), a.msgs_by_kind.end());
+  out.insert(out.end(), a.drops_by_cause.begin(), a.drops_by_cause.end());
+  return out;
+}
+
+TEST(MetricTableTest, EveryAggregateFieldRoundTripsThroughReportJson) {
+  const exp::Aggregate a = every_field_aggregate();
+  const std::vector<double> values = stored_values(a);
+  // The filler reached every field: no zero, no repeat.
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  EXPECT_GT(sorted.front(), 0.0);
+
+  exp::ReportMeta meta;
+  meta.tool = "report_test";
+  meta.figure = "every-field";
+  exp::Report report(std::move(meta));
+  exp::ReportPoint point;
+  point.point.n = 64;
+  point.aggregate = a;
+  report.add_point("all", point);
+
+  const std::string json = report.to_json();
+  const exp::Report parsed = exp::Report::from_json(json);
+  EXPECT_EQ(parsed.to_json(), json);
+  const exp::Aggregate& back = parsed.series().front().points.front().aggregate;
+  EXPECT_EQ(stored_values(back), values);
+  EXPECT_EQ(back.fingerprint(), a.fingerprint());
+}
+
+// Aggregate::fingerprint() keeps its pinned field order by hand
+// (aggregate.cpp); the metric table's fp column must say exactly which
+// stored rows it hashes, since Report::diff skips those on a match.
+TEST(MetricTableTest, FingerprintHashesExactlyTheFpRows) {
+  const exp::Aggregate base = every_field_aggregate();
+  std::vector<exp::MetricInfo> rows;
+  exp::for_each_aggregate_metric(base,
+                                 [&](const exp::MetricInfo& m, auto&& v) {
+                                   if constexpr (std::is_lvalue_reference_v<
+                                                     decltype(v)>) {
+                                     rows.push_back(m);
+                                   }
+                                 });
+  ASSERT_FALSE(rows.empty());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    exp::Aggregate changed = base;
+    std::size_t row = 0;
+    exp::for_each_aggregate_metric(
+        changed, [&](const exp::MetricInfo&, auto&& v) {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_lvalue_reference_v<decltype(v)>) {
+            if (row++ != i) return;
+            if constexpr (std::is_same_v<T, exp::SummaryStats>) {
+              v.mean += 1;
+            } else {
+              v += 1;
+            }
+          }
+        });
+    EXPECT_EQ(changed.fingerprint() != base.fingerprint(),
+              rows[i].fingerprinted)
+        << rows[i].name;
+  }
 }
 
 TEST(ReportTest, FingerprintGuardRejectsTamperedData) {

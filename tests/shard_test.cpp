@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "fba.h"
@@ -93,6 +95,102 @@ TEST(ShardTest, OutcomeJsonRoundTripsEveryBit) {
       EXPECT_EQ(back.decision_times.size(), outcome.decision_times.size());
     }
   }
+}
+
+// A TrialOutcome with a distinct non-zero value in every field, so a field
+// the codec drops shows as a zero. Doubles get a fractional part.
+exp::TrialOutcome every_field_outcome() {
+  exp::TrialOutcome o;
+  o.seed = 9000000000000000001ull;
+  double next = 1;
+  exp::for_each_outcome_metric(o, [&](std::string_view, auto& v) {
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      v = true;
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = next++ + 0.5;
+    } else {
+      v = static_cast<T>(next++);
+    }
+  });
+  for (double& x : o.bits_by_kind) x = next++ + 0.5;
+  for (double& x : o.msgs_by_kind) x = next++ + 0.5;
+  for (double& x : o.drops_by_cause) x = next++ + 0.5;
+  o.decision_times = {next + 0.5, next + 1.5};
+  return o;
+}
+
+// Every number of `o` but the seed, in table order, then the arrays.
+std::vector<double> outcome_values(const exp::TrialOutcome& o) {
+  std::vector<double> out;
+  exp::for_each_outcome_metric(o, [&](std::string_view, const auto& v) {
+    out.push_back(static_cast<double>(v));
+  });
+  out.insert(out.end(), o.bits_by_kind.begin(), o.bits_by_kind.end());
+  out.insert(out.end(), o.msgs_by_kind.begin(), o.msgs_by_kind.end());
+  out.insert(out.end(), o.drops_by_cause.begin(), o.drops_by_cause.end());
+  out.insert(out.end(), o.decision_times.begin(), o.decision_times.end());
+  return out;
+}
+
+TEST(ShardTest, EveryOutcomeFieldRoundTrips) {
+  ShardIoGuard guard;
+  const exp::TrialOutcome o = every_field_outcome();
+  const std::vector<double> values = outcome_values(o);
+  for (const double v : values) EXPECT_NE(v, 0.0);
+
+  const auto check = [&](const exp::TrialOutcome& back, const char* path) {
+    EXPECT_EQ(back.seed, o.seed) << path;
+    EXPECT_EQ(outcome_values(back), values) << path;
+    EXPECT_EQ(exp::outcome_fingerprint(back), exp::outcome_fingerprint(o))
+        << path;
+  };
+  check(exp::outcome_from_json(
+            json::Value::parse(exp::outcome_to_json(o).dump())),
+        "outcome");
+
+  exp::ShardPayload payload;
+  payload.cells.push_back(exp::ShardCell{0, 0, o});
+  check(exp::ShardPayload::from_json(payload.to_json()).cells.at(0).outcome,
+        "payload");
+
+  exp::ShardDoc doc;
+  doc.meta = test_meta(20130722, 0, 1);
+  doc.sweeps.push_back(exp::ShardSweep{1, 1, 7, {exp::ShardCell{0, 0, o}}});
+  check(exp::ShardDoc::from_json(doc.to_json()).sweeps.at(0).cells.at(0)
+            .outcome,
+        "document");
+}
+
+// outcome_fingerprint keeps its pinned field order by hand (shard.cpp); it
+// must still see a change to any one field.
+TEST(ShardTest, OutcomeFingerprintCoversEveryField) {
+  const exp::TrialOutcome base = every_field_outcome();
+  const std::uint64_t fp = exp::outcome_fingerprint(base);
+  const std::size_t fields = outcome_values(base).size();
+  for (std::size_t i = 0; i < fields; ++i) {
+    exp::TrialOutcome changed = base;
+    std::size_t at = 0;
+    const auto bump = [&](auto& v) {
+      if (at++ != i) return;
+      using T = std::decay_t<decltype(v)>;
+      if constexpr (std::is_same_v<T, bool>) {
+        v = !v;
+      } else {
+        v += 1;
+      }
+    };
+    exp::for_each_outcome_metric(changed,
+                                 [&](std::string_view, auto& v) { bump(v); });
+    for (double& x : changed.bits_by_kind) bump(x);
+    for (double& x : changed.msgs_by_kind) bump(x);
+    for (double& x : changed.drops_by_cause) bump(x);
+    for (double& x : changed.decision_times) bump(x);
+    EXPECT_NE(exp::outcome_fingerprint(changed), fp) << "field " << i;
+  }
+  exp::TrialOutcome reseeded = base;
+  ++reseeded.seed;
+  EXPECT_NE(exp::outcome_fingerprint(reseeded), fp);
 }
 
 TEST(ShardTest, PayloadRejectsTruncationAndGarbage) {
@@ -218,14 +316,15 @@ TEST(ShardTest, ParserRejectsMalformedAndTamperedDocuments) {
   const exp::ShardDoc doc = record_slice(20130722, 0, 1);
   std::string json = doc.to_json();
 
-  // Unsupported future schema version.
-  {
+  // Any schema version but v2, past or future.
+  for (const char* version : {"1", "999"}) {
     std::string bumped = json;
     const std::string key = "\"schema_version\": 2";
     const std::size_t at = bumped.find(key);
     ASSERT_NE(at, std::string::npos);
-    bumped.replace(at, key.size(), "\"schema_version\": 999");
-    EXPECT_THROW(exp::ShardDoc::from_json(bumped), ConfigError);
+    bumped.replace(at, key.size(),
+                   std::string("\"schema_version\": ") + version);
+    EXPECT_THROW(exp::ShardDoc::from_json(bumped), ConfigError) << version;
   }
 
   // Tampering with the recorded cells breaks the fingerprint check on
